@@ -20,7 +20,7 @@ verify-bench:
 
 # Evaluator benchmark: replay fast path vs legacy vs seed snapshot, the
 # batched sweep vs single fast replay, per-point latency and serial-vs-pool
-# identity; writes BENCH_eval.json.
+# identity; writes the git-ignored BENCH_eval.quick.json.
 bench-eval:
 	$(RUN) -m pytest benchmarks/test_eval_speed.py -q -s
 
@@ -30,7 +30,8 @@ bench-eval-full:
 	BENCH_EVAL_FULL=1 $(RUN) -m pytest benchmarks/test_eval_speed.py -q -s
 
 # Store benchmark: jsonl vs binary append/load/query, O(tail) refresh and
-# compaction shrink; writes BENCH_store.json (quick mode: 10^4 entries).
+# compaction shrink; writes the git-ignored BENCH_store.quick.json (quick
+# mode: 10^4 entries).
 bench-store:
 	$(RUN) -m pytest benchmarks/test_store_scale.py -q -s
 
@@ -42,7 +43,7 @@ bench-store-full:
 
 # Streaming benchmark: bounded-memory ingestion throughput, the
 # peak-memory-vs-segment-size bound, and segmented-vs-oneshot identity;
-# writes BENCH_stream.json (quick mode: 10^5 events).
+# writes the git-ignored BENCH_stream.quick.json (quick mode: 10^5 events).
 bench-stream:
 	$(RUN) -m pytest benchmarks/test_stream_scale.py -q -s
 
@@ -54,7 +55,7 @@ bench-stream-full:
 # Search-quality benchmark: the surrogate portfolio's hypervolume-vs-
 # evaluations curves against the exhaustive ground truth, with hard gates
 # (every strategy >= 95% HV at a 5% budget, portfolio best at 1%);
-# writes BENCH_search.json.
+# writes the git-ignored BENCH_search.quick.json.
 bench-search:
 	$(RUN) -m pytest benchmarks/test_search_quality.py -q -s
 

@@ -9,11 +9,21 @@ comparable with each other.
 Benchmarks run each exploration exactly once (``benchmark.pedantic`` with a
 single round): the measured quantity is the end-to-end tool runtime, and the
 printed tables are the reproduction artefacts.
+
+The machine-readable results go through :func:`write_bench_json`: full runs
+write the tracked ``BENCH_<name>.json`` ledger in the repository root,
+quick runs (every plain pytest run) a git-ignored ``BENCH_<name>.quick.json``
+beside it, so the test suite never rewrites the ledger.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import platform
+import subprocess
 from functools import lru_cache
+from pathlib import Path
 
 from repro.core.exploration import ExplorationEngine, ExplorationSettings
 from repro.core.space import compact_parameter_space, default_parameter_space
@@ -21,6 +31,9 @@ from repro.memhier.energy import EnergyModel
 from repro.memhier.hierarchy import embedded_two_level
 from repro.workloads.easyport import EasyportWorkload
 from repro.workloads.vtc import VTCWorkload
+
+#: Where the BENCH ledger files live.
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Random seed shared by every benchmark (the paper's publication year).
 SEED = 2006
@@ -96,3 +109,45 @@ def print_table(title: str, rows: list[tuple], header: tuple) -> None:
     print("  ".join(str(header[col]).ljust(widths[col]) for col in range(len(header))))
     for row in rows:
         print("  ".join(str(row[col]).ljust(widths[col]) for col in range(len(header))))
+
+
+def bench_environment() -> dict:
+    """The machine and code a BENCH document was measured on."""
+    try:
+        completed = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        git_sha = completed.stdout.strip() or None
+    except (OSError, subprocess.CalledProcessError):
+        git_sha = None
+    try:
+        import numpy
+
+        numpy_version = numpy.__version__
+    except ImportError:
+        numpy_version = None
+    return {
+        "git_sha": git_sha,
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+        "cpu_count": os.cpu_count(),
+    }
+
+
+def write_bench_json(name: str, mode: str, document: dict) -> Path:
+    """Write one benchmark's results document with its environment.
+
+    ``mode`` is ``"quick"`` for a plain test run, which lands in the
+    git-ignored ``BENCH_<name>.quick.json``; any other mode (a full or
+    dedicated benchmark run) writes the tracked ``BENCH_<name>.json``.
+    """
+    suffix = ".quick.json" if mode == "quick" else ".json"
+    path = REPO_ROOT / f"BENCH_{name}{suffix}"
+    document = {**document, "mode": mode, "environment": bench_environment()}
+    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    print(f"\nwrote {path}")
+    return path

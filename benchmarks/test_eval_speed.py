@@ -19,10 +19,11 @@ across the three generations that exist in this repository:
 
 All generations must produce byte-identical metrics; the headline targets
 are **fast ≥ 5× seed** on the replay microbenchmark and **batched ≥ 10×
-single fast** per point on the exhaustive compact-space sweep.  Results are
-written to ``BENCH_eval.json`` in the repository root — the baseline future
-performance PRs are measured against; the CI bench-smoke job asserts the
-``batched.identical_metrics`` flag and uploads the file as an artifact.
+single fast** per point on the exhaustive compact-space sweep.  Full and
+dedicated runs write ``BENCH_eval.json`` in the repository root — the
+baseline future performance PRs are measured against; quick runs write the
+git-ignored ``BENCH_eval.quick.json``, whose ``batched.identical_metrics``
+flag the CI bench-smoke job asserts before uploading it as an artifact.
 
 Sizing: 30 000 Easyport packets (8 000 for the sweep) in dedicated
 benchmark runs (``--benchmark-only``), 12 000 (2 000) in plain test /
@@ -36,7 +37,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -54,10 +54,7 @@ from repro.profiling.profiler import Profiler, ProfilerOptions
 from repro.workloads.easyport import EasyportWorkload
 
 from ._seed_replay import SeedProfiler, seedify_allocator
-from .common import SEED, print_table
-
-#: Where the machine-readable results land (repository root).
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_eval.json"
+from .common import SEED, print_table, write_bench_json
 
 #: The replay-loop speedup the columnar fast path must deliver over the
 #: seed implementation (the PR 5 acceptance target).
@@ -87,20 +84,15 @@ _RESULTS: dict = {}
 
 
 @pytest.fixture(scope="module", autouse=True)
-def write_bench_json(request):
-    """Write ``BENCH_eval.json`` after the module's measurements ran."""
+def bench_ledger(request):
+    """Write the module's BENCH_eval document after its measurements ran."""
     yield
     if not _RESULTS:  # pragma: no cover - nothing measured
         return
     dedicated = request.config.getoption("--benchmark-only", default=False)
-    document = {
-        "benchmark": "eval_speed",
-        "mode": "benchmark" if dedicated else ("full" if _FULL_ENV else "quick"),
-        "seed": SEED,
-        **_RESULTS,
-    }
-    BENCH_PATH.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {BENCH_PATH}")
+    mode = "benchmark" if dedicated else ("full" if _FULL_ENV else "quick")
+    document = {"benchmark": "eval_speed", "seed": SEED, **_RESULTS}
+    write_bench_json("eval", mode, document)
 
 
 #: ``BENCH_EVAL_FULL=1`` runs the full (dedicated-size, target-asserting)

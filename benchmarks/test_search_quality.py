@@ -19,8 +19,9 @@ directly:
    process-pool backend; the two databases must be byte-identical (the
    determinism contract), a flag the CI bench job hard-gates.
 
-Results are written to ``BENCH_search.json`` in the repository root; the
-CI bench-smoke job uploads it as an artifact.  Plain pytest runs the
+Full runs write ``BENCH_search.json`` in the repository root, quick runs
+the git-ignored ``BENCH_search.quick.json``, which the CI bench-smoke job
+gates and uploads as an artifact.  Plain pytest runs the
 synthetic-workload space; ``BENCH_SEARCH_FULL=1`` — ``make
 bench-search-full`` — additionally grinds the real VTC decoder trace
 through the same protocol (a full exhaustive sweep of its space).
@@ -30,10 +31,8 @@ Run with ``pytest benchmarks/test_search_quality.py -s``.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -44,10 +43,7 @@ from repro.core.space import STANDARD_SPACES
 from repro.core.strategies import NSGA2Search, SurrogateSearch, TPESearch
 from repro.workloads.synthetic import UniformRandomWorkload
 
-from .common import SEED, print_table, vtc_trace
-
-#: Where the machine-readable results land (repository root).
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_search.json"
+from .common import SEED, print_table, vtc_trace, write_bench_json
 
 #: ``BENCH_SEARCH_FULL=1`` adds the real VTC decoder trace to the protocol.
 _FULL_ENV = bool(os.environ.get("BENCH_SEARCH_FULL"))
@@ -71,14 +67,13 @@ _RESULTS: dict = {}
 
 
 @pytest.fixture(scope="module", autouse=True)
-def write_bench_json():
-    """Write ``BENCH_search.json`` after the module's measurements ran."""
+def bench_ledger():
+    """Write the module's BENCH_search document after its measurements ran."""
     yield
     if not _RESULTS:  # pragma: no cover - nothing measured
         return
     document = {
         "benchmark": "search_quality",
-        "mode": "full" if _FULL_ENV else "quick",
         "seed": SEED,
         "fractions": list(FRACTIONS),
         "gates": {
@@ -89,8 +84,7 @@ def write_bench_json():
         },
         **_RESULTS,
     }
-    BENCH_PATH.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {BENCH_PATH}")
+    write_bench_json("search", "full" if _FULL_ENV else "quick", document)
 
 
 def synthetic_trace():

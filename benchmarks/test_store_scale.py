@@ -8,8 +8,9 @@ cold load ≥ 5× faster than JSONL** at 10⁵ entries: the JSONL loader must
 JSON-parse every line, while the binary loader walks fixed-width frame
 headers and defers payload parsing until a key is actually read.
 
-Results are written to ``BENCH_store.json`` in the repository root; the CI
-bench-smoke job uploads it as an artifact.  Plain pytest runs measure a
+Full runs write ``BENCH_store.json`` in the repository root, quick runs the
+git-ignored ``BENCH_store.quick.json``, which the CI bench-smoke job
+uploads as an artifact.  Plain pytest runs measure a
 10⁴-entry store (the quick mode only direction-checks the speedup so CI
 runners cannot flake it); ``BENCH_STORE_FULL=1`` — ``make bench-store-full``
 — runs the dedicated 10⁵-entry measurement and asserts the full target.
@@ -19,10 +20,8 @@ Run with ``pytest benchmarks/test_store_scale.py -s``.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -31,10 +30,7 @@ from repro.core.space import smoke_parameter_space
 from repro.core.store import ResultStore, compact_store, store_info
 from repro.workloads.synthetic import UniformRandomWorkload
 
-from .common import SEED, print_table
-
-#: Where the machine-readable results land (repository root).
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_store.json"
+from .common import SEED, print_table, write_bench_json
 
 #: Cold-load speedup the binary format must deliver over JSONL in the
 #: dedicated (10⁵-entry) measurement — the PR 8 acceptance target.
@@ -58,14 +54,13 @@ _RESULTS: dict = {}
 
 
 @pytest.fixture(scope="module", autouse=True)
-def write_bench_json():
-    """Write ``BENCH_store.json`` after the module's measurements ran."""
+def bench_ledger():
+    """Write the module's BENCH_store document after its measurements ran."""
     yield
     if not _RESULTS:  # pragma: no cover - nothing measured
         return
     document = {
         "benchmark": "store_scale",
-        "mode": "full" if _FULL_ENV else "quick",
         "entries": ENTRIES,
         "seed": SEED,
         "target_load_speedup": TARGET_LOAD_SPEEDUP,
@@ -75,8 +70,7 @@ def write_bench_json():
         ),
         **_RESULTS,
     }
-    BENCH_PATH.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {BENCH_PATH}")
+    write_bench_json("store", "full" if _FULL_ENV else "quick", document)
 
 
 @pytest.fixture(scope="module")

@@ -16,10 +16,11 @@ asserted:
    ``ProfileResult`` is byte-identical to the one-shot in-memory
    compile-and-replay of the same events.
 
-Results are written to ``BENCH_stream.json`` in the repository root; the
-CI bench-smoke job uploads it as an artifact and hard-gates the identity
-flag.  Plain pytest runs stream 10⁵ events; ``BENCH_STREAM_FULL=1`` —
-``make bench-stream-full`` — runs the dedicated 10⁶-event measurement.
+Full runs write ``BENCH_stream.json`` in the repository root, quick runs
+the git-ignored ``BENCH_stream.quick.json``, which the CI bench-smoke job
+uploads as an artifact after hard-gating its identity flag.  Plain pytest
+runs stream 10⁵ events; ``BENCH_STREAM_FULL=1`` — ``make bench-stream-full``
+— runs the dedicated 10⁶-event measurement.
 
 Run with ``pytest benchmarks/test_stream_scale.py -s``.
 """
@@ -47,10 +48,7 @@ from repro.stream import (
     stream_profile,
 )
 
-from .common import SEED, print_table
-
-#: Where the machine-readable results land (repository root).
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_stream.json"
+from .common import SEED, print_table, write_bench_json
 
 #: ``BENCH_STREAM_FULL=1`` switches to the dedicated 10⁶-event log.
 _FULL_ENV = bool(os.environ.get("BENCH_STREAM_FULL"))
@@ -85,14 +83,13 @@ _RESULTS: dict = {}
 
 
 @pytest.fixture(scope="module", autouse=True)
-def write_bench_json():
-    """Write ``BENCH_stream.json`` after the module's measurements ran."""
+def bench_ledger():
+    """Write the module's BENCH_stream document after its measurements ran."""
     yield
     if not _RESULTS:  # pragma: no cover - nothing measured
         return
     document = {
         "benchmark": "stream_scale",
-        "mode": "full" if _FULL_ENV else "quick",
         "events": EVENTS,
         "segment_events": DEFAULT_SEGMENT_EVENTS,
         "live_limit": LIVE_LIMIT,
@@ -101,8 +98,7 @@ def write_bench_json():
         "peak_budget_bytes": PEAK_BUDGET,
         **_RESULTS,
     }
-    BENCH_PATH.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {BENCH_PATH}")
+    write_bench_json("stream", "full" if _FULL_ENV else "quick", document)
 
 
 def write_log(path: Path, operations: int) -> int:

@@ -49,7 +49,6 @@ import math
 import multiprocessing
 import os
 import pickle
-from collections import OrderedDict
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict, dataclass, field, replace
 from typing import Protocol, runtime_checkable
@@ -57,7 +56,7 @@ from typing import Protocol, runtime_checkable
 from ..memhier.energy import EnergyModel
 from ..memhier.hierarchy import MemoryHierarchy, embedded_two_level
 from ..profiling.batch import BatchReplayEngine
-from ..profiling.metrics import metric_keys
+from ..profiling.metrics import ProfileResult, metric_keys
 from ..profiling.profiler import Profiler, ProfilerOptions
 from ..profiling.tracer import AllocationTrace
 from .configuration import AllocatorConfiguration, configuration_from_point
@@ -143,6 +142,11 @@ def canonical_point_key(point: dict) -> tuple:
     map to the same key; this is the memoisation key of the engine cache.
     """
     return tuple(sorted(point.items()))
+
+
+def _oom_failures(profile: ProfileResult) -> int:
+    """Allocations the replay behind ``profile`` failed to serve."""
+    return int(profile.per_pool.get("__profile__", {}).get("oom_failures", 0))
 
 
 def _cached_copy(record: ExplorationRecord, label: str) -> ExplorationRecord:
@@ -538,12 +542,6 @@ def make_backend(jobs: int | None) -> EvaluationBackend:
 
 # -- the engine --------------------------------------------------------------
 
-#: Bound on the predict_point prefix-trace cache.  Pruning strategies use a
-#: handful of fractions at most; anything past this is a leak, not a working
-#: set, so the least recently used prefix is evicted.
-_PREFIX_TRACE_LIMIT = 8
-
-
 class ExplorationEngine:
     """Drives the explore → profile → Pareto pipeline for one workload trace."""
 
@@ -585,11 +583,6 @@ class ExplorationEngine:
         self.store_hits = 0
         self.store_misses = 0
         self._fingerprint: str | None = None
-        # Prefix traces used by predict_point, keyed by event count and
-        # LRU-bounded (see _PREFIX_TRACE_LIMIT), so pruning does not
-        # recompile the same prefix for every candidate yet a long sweep
-        # over many distinct fractions cannot grow memory without bound.
-        self._prefix_traces: OrderedDict[int, AllocationTrace] = OrderedDict()
         # Lazily-built batch replay engine shared by every run_points call
         # (see _batch_engine); dropped from pickles, rebuilt per process.
         self._batch: BatchReplayEngine | None = None
@@ -605,7 +598,6 @@ class ExplorationEngine:
         state["backend"] = None
         state["store"] = None
         state["_point_cache"] = {}
-        state["_prefix_traces"] = OrderedDict()
         state["_batch"] = None
         state["cache_hits"] = 0
         state["cache_misses"] = 0
@@ -691,6 +683,12 @@ class ExplorationEngine:
         and parallel dispatch go through :meth:`evaluate_points`.
         """
         configuration = self.configuration_for(point, label=label)
+        return self._record(configuration, self._replay(configuration, self.trace))
+
+    def _replay(
+        self, configuration: AllocatorConfiguration, trace: AllocationTrace
+    ) -> ProfileResult:
+        """Build ``configuration`` and single-replay ``trace`` through it."""
         built = self.factory.build(configuration)
         profiler = Profiler(
             built.mapping,
@@ -699,15 +697,16 @@ class ExplorationEngine:
                 payload_access_factor=self.settings.payload_access_factor
             ),
         )
-        profile = profiler.run(built.allocator, self.trace, configuration.configuration_id)
-        oom_failures = int(
-            profile.per_pool.get("__profile__", {}).get("oom_failures", 0)
-        )
+        return profiler.run(built.allocator, trace, configuration.configuration_id)
+
+    def _record(
+        self, configuration: AllocatorConfiguration, profile: ProfileResult
+    ) -> ExplorationRecord:
         return ExplorationRecord(
             configuration=configuration,
             metrics=profile.totals,
             trace_name=self.trace.name,
-            oom_failures=oom_failures,
+            oom_failures=_oom_failures(profile),
         )
 
     def _batch_engine(self) -> BatchReplayEngine:
@@ -755,17 +754,8 @@ class ExplorationEngine:
         records = []
         for point, label in items:
             configuration = self.configuration_for(point, label=label)
-            profile = batch.run_configuration(configuration)
-            oom_failures = int(
-                profile.per_pool.get("__profile__", {}).get("oom_failures", 0)
-            )
             records.append(
-                ExplorationRecord(
-                    configuration=configuration,
-                    metrics=profile.totals,
-                    trace_name=self.trace.name,
-                    oom_failures=oom_failures,
-                )
+                self._record(configuration, batch.run_configuration(configuration))
             )
         return records
 
@@ -919,30 +909,9 @@ class ExplorationEngine:
             raise ValueError(f"prediction fraction must be in (0, 1], got {fraction}")
         keys = list(metrics or self.settings.metrics)
         count = max(1, int(len(self.trace) * fraction))
-        prefix = self._prefix_traces.get(count)
-        if prefix is None:
-            prefix = AllocationTrace(
-                events=self.trace.events[:count], name=self.trace.name
-            )
-            while len(self._prefix_traces) >= _PREFIX_TRACE_LIMIT:
-                self._prefix_traces.popitem(last=False)
-            self._prefix_traces[count] = prefix
-        else:
-            self._prefix_traces.move_to_end(count)
-        configuration = self.configuration_for(point)
-        built = self.factory.build(configuration)
-        profiler = Profiler(
-            built.mapping,
-            energy_model=self.energy_model,
-            options=ProfilerOptions(
-                payload_access_factor=self.settings.payload_access_factor
-            ),
-        )
-        profile = profiler.run(built.allocator, prefix, configuration.configuration_id)
-        oom_failures = int(
-            profile.per_pool.get("__profile__", {}).get("oom_failures", 0)
-        )
-        return profile.totals.values(keys), oom_failures
+        prefix = AllocationTrace.from_compiled(self.trace.compiled().prefix(count))
+        profile = self._replay(self.configuration_for(point), prefix)
+        return profile.totals.values(keys), _oom_failures(profile)
 
     @property
     def cached_point_count(self) -> int:

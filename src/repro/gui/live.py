@@ -73,7 +73,9 @@ class LiveDashboardSink:
         self._strategy = None
         self._windows = None
         self._started = time.monotonic()
-        self._last_render = 0.0
+        # The monotonic clock's origin is unspecified (boot time on Linux),
+        # so start at -inf: the first accept always renders.
+        self._last_render = float("-inf")
         self._block_height = 0
 
     # -- attachment (called by the experiment layer) -----------------------

@@ -1151,7 +1151,11 @@ class BatchReplayEngine:
         )
         profiler = Profiler(mapping, self.energy_model, self.options)
         result = profiler._collect(
-            allocator, self.trace, configuration.configuration_id, payload_by_pool
+            allocator,
+            self.trace.name,
+            len(self.trace),
+            configuration.configuration_id,
+            payload_by_pool,
         )
         result.per_pool["__profile__"] = {
             "oom_failures": oom_failures,

@@ -180,6 +180,28 @@ class CompiledTrace:
             + self.slot_sizes.itemsize * len(self.slot_sizes)
         )
 
+    def prefix(self, count: int) -> "CompiledTrace":
+        """The first ``count`` events, sliced from the columns.
+
+        Equal column for column to compiling those events (slots number the
+        allocations in stream order), except that :attr:`has_live_rebinding`
+        keeps this trace's flag: conservative, a flagged prefix replays
+        through the event loop.  The prefix carries no fingerprint.
+        """
+        slot_count = self.kinds[:count].count(ALLOC_CODE)
+        return CompiledTrace(
+            kinds=self.kinds[:count],
+            sizes=self.sizes[:count],
+            request_ids=self.request_ids[:count],
+            timestamps=self.timestamps[:count],
+            slots=self.slots[:count],
+            slot_sizes=self.slot_sizes[:slot_count],
+            slot_count=slot_count,
+            has_live_rebinding=self.has_live_rebinding,
+            name=self.name,
+            slot_base=self.slot_base,
+        )
+
     def events(self) -> list[AllocationEvent]:
         """Reconstruct the event objects (tags are not preserved)."""
         out: list[AllocationEvent] = []

@@ -13,23 +13,27 @@ data placed in the scratchpad is not only cheaper to manage but also cheaper
 to use, which is what makes the pool-mapping parameter matter for energy,
 exactly as in the paper's methodology.
 
-Two replay implementations produce byte-identical results:
+One replay kernel and one oracle produce byte-identical results:
 
-* the **fast path** (:meth:`Profiler._replay_compiled`, the default)
-  iterates the trace's columnar :class:`~repro.profiling.compiled
-  .CompiledTrace` form — no event objects, live addresses in a flat slot
-  table, the composed allocator's size→pool routing table instead of
+* the **fast kernel** (:meth:`SegmentReplaySession._replay_segment_fast`,
+  the default) iterates columnar :class:`~repro.profiling.compiled
+  .CompiledTrace` segments — no event objects, live addresses in a flat
+  slot table, the composed allocator's size→pool routing table instead of
   per-event ``accepts()`` scans, and an inline kernel for dedicated
   fixed-size pools whose :class:`~repro.allocator.stats.PoolStats` counter
-  updates are batched into local integers and flushed once per run;
-* the **legacy path** (:meth:`Profiler._replay_events`, selected with
+  updates are batched into local integers and flushed once per segment.
+  It serves one-shot replay (:meth:`Profiler.run` replays the whole trace
+  as a single segment), streaming and windowed replay alike;
+* the **event loop** (:meth:`Profiler._replay_events`, selected with
   ``ProfilerOptions(fast_replay=False)``) walks the event objects and calls
-  ``malloc``/``free`` per event.  It is the executable specification the
-  fast path is tested against (see ``tests/test_fast_replay.py``).
+  ``malloc``/``free`` per event.  It is the only oracle: the executable
+  specification the fast kernel is tested against (see
+  ``tests/test_fast_replay.py`` and ``tests/test_stream.py``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..allocator.blocks import Block, BlockStatus
@@ -41,6 +45,7 @@ from ..memhier.access import breakdown_accesses, footprint_by_level
 from ..memhier.energy import EnergyModel
 from ..memhier.mapping import PoolMapping
 from .compiled import CompiledTrace
+from .events import AllocationEvent
 from .metrics import MetricSet, ProfileResult
 from .tracer import AllocationTrace
 
@@ -81,50 +86,50 @@ class Profiler:
         trace: AllocationTrace,
         configuration_id: str = "",
     ) -> ProfileResult:
-        """Profile ``allocator`` over ``trace`` and return the metrics."""
-        # The fast path manipulates ComposedAllocator internals (owner map,
-        # dispatch counter); a subclass could redefine those, so only the
-        # exact type takes it.  Malformed streams that re-allocate a live
-        # request id (see CompiledTrace.has_live_rebinding) cannot be
-        # resolved statically and take the event loop too.
-        compiled = (
-            trace.compiled()
-            if self.options.fast_replay and type(allocator) is ComposedAllocator
-            else None
-        )
+        """Profile ``allocator`` over ``trace`` and return the metrics.
+
+        The trace replays as one segment of a :class:`SegmentReplaySession`,
+        or through the event loop in legacy mode and for a malformed trace
+        that re-binds a live request id (which a fast streaming session
+        refuses; see :attr:`CompiledTrace.has_live_rebinding`).
+        """
+        session = SegmentReplaySession(self, allocator, name=trace.name)
+        compiled = trace.compiled() if session._fast else None
         if compiled is not None and not compiled.has_live_rebinding:
-            replay = self._replay_compiled(allocator, compiled)
+            session.replay_segment(compiled)
         else:
-            replay = self._replay_events(allocator, trace)
-        payload_accesses_by_pool, oom_failures, footprint_timeline = replay
+            session._fast = False
+            session._replay_events(trace)
+            session.events_seen = len(trace)
+        return session.finish(configuration_id)
 
-        result = self._collect(allocator, trace, configuration_id, payload_accesses_by_pool)
-        result.per_pool["__profile__"] = {
-            "oom_failures": oom_failures,
-            "footprint_timeline_points": len(footprint_timeline),
-        }
-        if self.options.track_footprint_timeline:
-            result.per_pool["__timeline__"] = footprint_timeline
-        return result
-
-    # -- replay: legacy event loop ----------------------------------------
+    # -- replay: the event loop (the oracle) ---------------------------------
 
     def _replay_events(
-        self, allocator: ComposedAllocator, trace: AllocationTrace
-    ) -> tuple[dict[str, float], int, list[tuple[int, int]]]:
-        """Replay the event objects one by one (the reference semantics)."""
-        address_of: dict[int, int] = {}
-        payload_accesses_by_pool: dict[str, float] = {}
-        oom_failures = 0
-        footprint_timeline: list[tuple[int, int]] = []
+        self,
+        allocator: ComposedAllocator,
+        events: Iterable[AllocationEvent],
+        address_of: dict[int, int],
+        payload_accesses_by_pool: dict[str, float],
+        footprint_timeline: list[tuple[int, int]],
+    ) -> int:
+        """Replay the event objects one by one (the reference semantics).
 
-        for event in trace:
+        Live addresses, payload accesses and the footprint timeline
+        accumulate into the containers passed in, so a session can carry
+        them across segments; returns the number of failed allocations.
+        """
+        factor = self.options.payload_access_factor
+        fail_on_oom = self.options.fail_on_oom
+        track_timeline = self.options.track_footprint_timeline
+        oom_failures = 0
+        for event in events:
             if event.is_alloc:
                 try:
                     address = allocator.malloc(event.size)
                 except OutOfMemoryError:
                     oom_failures += 1
-                    if self.options.fail_on_oom:
+                    if fail_on_oom:
                         raise
                     continue
                 address_of[event.request_id] = address
@@ -132,7 +137,7 @@ class Profiler:
                 if owner is not None:
                     payload_accesses_by_pool[owner.name] = (
                         payload_accesses_by_pool.get(owner.name, 0.0)
-                        + event.size * self.options.payload_access_factor
+                        + event.size * factor
                     )
             else:
                 address = address_of.pop(event.request_id, None)
@@ -140,59 +145,209 @@ class Profiler:
                     # The matching allocation failed (OOM) and was skipped.
                     continue
                 allocator.free(address)
-            if self.options.track_footprint_timeline:
-                footprint_timeline.append(
-                    (event.timestamp, allocator.total_footprint)
+            if track_timeline:
+                footprint_timeline.append((event.timestamp, allocator.total_footprint))
+        return oom_failures
+
+    def _collect(
+        self,
+        allocator: ComposedAllocator,
+        trace_name: str,
+        operation_count: int,
+        configuration_id: str,
+        payload_accesses_by_pool: dict[str, float],
+    ) -> ProfileResult:
+        """Turn raw allocator counters into a :class:`ProfileResult`."""
+        breakdown = breakdown_accesses(allocator, self.mapping)
+        footprints = footprint_by_level(allocator, self.mapping, peak=True)
+
+        # The "memory accesses" metric of the paper counts the accesses of
+        # the DM allocation subsystem itself (metadata reads/writes), so it
+        # is recorded before application payload accesses are added.
+        allocator_accesses = breakdown.total
+
+        # Charge application payload accesses to the level of the owning
+        # pool: they do not count towards the accesses metric but they do
+        # make the pool-mapping parameter matter for energy and time.
+        for pool_name, payload_accesses in payload_accesses_by_pool.items():
+            module = self.mapping.module_of(pool_name)
+            level = breakdown.level(module.name)
+            # Half the payload accesses are writes (initialisation), half reads.
+            level.reads += int(payload_accesses / 2)
+            level.writes += int(payload_accesses / 2)
+
+        result = ProfileResult(
+            configuration_id=configuration_id or allocator.name,
+            trace_name=trace_name,
+        )
+        result.operation_count = operation_count
+        result.leaked_blocks = allocator.live_blocks
+
+        total_energy = self.energy_model.total_energy_nj(
+            breakdown, footprints, operation_count
+        )
+        total_cycles = self.energy_model.execution_cycles(breakdown, operation_count)
+
+        result.totals = MetricSet(
+            accesses=allocator_accesses,
+            footprint=sum(footprints.values()),
+            energy_nj=total_energy,
+            cycles=total_cycles,
+        )
+
+        for module in self.mapping.hierarchy:
+            level = result.level(module.name)
+            accesses = breakdown.levels.get(module.name)
+            if accesses is not None:
+                level.reads = accesses.reads
+                level.writes = accesses.writes
+            level.footprint = footprints.get(module.name, 0)
+            level.energy_nj = module.energy_for(level.reads, level.writes)
+
+        for pool in allocator.pools:
+            result.per_pool[pool.name] = pool.stats.snapshot()
+            result.per_pool[pool.name]["module"] = self.mapping.module_of(pool.name).name
+
+        return result
+
+
+class SegmentReplaySession:
+    """Replays :class:`CompiledTrace` *segments*, carrying state across them.
+
+    The profiler's one replay kernel.  :meth:`Profiler.run` replays a whole
+    trace as a single segment; the streaming layer (:mod:`repro.stream`)
+    feeds bounded segments of an unbounded stream through one allocator.
+    The final :class:`~repro.profiling.metrics.ProfileResult` is
+    byte-identical to the event loop over the whole trace, for any
+    segmentation (property-tested in ``tests/test_stream.py``).
+
+    How the identity is kept:
+
+    * kernel eligibility is recomputed per segment: a pool warmed by an
+      earlier segment drops to its own ``allocate``/``free`` methods;
+    * allocations surviving a segment are carried in a ``global slot ->
+      (address, pool position, size)`` table; a FREE whose slot predates the
+      segment (``slot < slot_base``) releases through the owning pool
+      exactly as :meth:`ComposedAllocator.free` would (dispatch charge,
+      owner-map pop, ``pool.free``);
+    * payload-access attribution, OOM counts and the footprint timeline
+      accumulate across segments in event order.
+
+    Between segments the caller may take a :meth:`snapshot` — a cumulative
+    :class:`ProfileResult` at the segment boundary — which is what windowed
+    analysis differentiates into per-window metrics.
+
+    With ``ProfilerOptions(fast_replay=False)`` (or a subclassed allocator)
+    each segment's reconstructed events go through the event loop,
+    :meth:`Profiler._replay_events`, with the live address table carried
+    instead; streams that re-bind a live request id (malformed; rejected by
+    ``AllocationTrace.validate``) are only supported by that mode.
+    """
+
+    def __init__(
+        self,
+        profiler: Profiler,
+        allocator: ComposedAllocator,
+        name: str = "stream",
+    ) -> None:
+        self.profiler = profiler
+        self.allocator = allocator
+        self.name = name
+        options = profiler.options
+        # The kernel manipulates ComposedAllocator internals (owner map,
+        # dispatch counter); a subclass could redefine those, so only the
+        # exact type takes it.
+        self._fast = bool(options.fast_replay) and type(allocator) is ComposedAllocator
+        self.oom_failures = 0
+        self.footprint_timeline: list[tuple[int, int]] = []
+        self.events_seen = 0
+        self.segments_replayed = 0
+        #: global slot -> (address, pool position, payload size) of
+        #: allocations alive across a segment boundary (fast mode).
+        self._survivors: dict[int, tuple[int, int, int]] = {}
+        #: request id -> address of live allocations (legacy mode).
+        self._address_of: dict[int, int] = {}
+        # Payload-access accumulation per pool position in global
+        # first-touch order — the insertion order of the event loop's dict.
+        pool_count = len(allocator.pools)
+        self._payload_totals = [0.0] * pool_count
+        self._payload_touched = [False] * pool_count
+        self._payload_order: list[int] = []
+        self._payload_by_name: dict[str, float] = {}
+
+    # -- segment replay ----------------------------------------------------
+
+    def replay_segment(self, segment: CompiledTrace) -> None:
+        """Replay one segment, updating the carried state."""
+        if self._fast:
+            if segment.has_live_rebinding:
+                raise ValueError(
+                    "streaming fast replay requires a well-formed trace "
+                    "(an ALLOC re-binds a live request id); replay with "
+                    "ProfilerOptions(fast_replay=False)"
                 )
-        return payload_accesses_by_pool, oom_failures, footprint_timeline
+            self._replay_segment_fast(segment)
+        else:
+            self._replay_events(segment.events())
+        self.events_seen += len(segment)
+        self.segments_replayed += 1
 
-    # -- replay: compiled fast path ----------------------------------------
+    def _replay_events(self, events: Iterable[AllocationEvent]) -> None:
+        """Event-loop replay (the reference semantics) on the carried state."""
+        self.oom_failures += self.profiler._replay_events(
+            self.allocator,
+            events,
+            self._address_of,
+            self._payload_by_name,
+            self.footprint_timeline,
+        )
 
-    def _replay_compiled(
-        self, allocator: ComposedAllocator, compiled: CompiledTrace
-    ) -> tuple[dict[str, float], int, list[tuple[int, int]]]:
-        """Replay the columnar trace form; byte-identical to the event loop.
+    def _replay_segment_fast(self, segment: CompiledTrace) -> None:
+        """Replay one segment through the columnar kernel (module docstring).
 
-        Per event the loop touches flat arrays and local names only: the
-        kind byte, the size column, the precomputed slot of the matching
-        allocation (instead of a request-id dict), the allocator's memoised
-        size→pool route, and — for dedicated fixed-size pools, the paper's
-        hot-size pools — an inlined allocate/free kernel whose PoolStats
-        counter updates accumulate in local integers that are flushed onto
-        the stats objects once, after the loop.
+        The slot table is local to the segment (``slot - slot_base``); a
+        FREE of an earlier segment's allocation goes through the carried
+        survivor table.
         """
-        options = self.options
+        allocator = self.allocator
+        options = self.profiler.options
         factor = options.payload_access_factor
         fail_on_oom = options.fail_on_oom
         track_timeline = options.track_footprint_timeline
 
-        kinds = compiled.kinds
-        sizes = compiled.sizes
-        slots = compiled.slots
-        timestamps = compiled.timestamps
-
-        slot_sizes = compiled.slot_sizes
+        kinds = segment.kinds
+        sizes = segment.sizes
+        slots = segment.slots
+        timestamps = segment.timestamps
+        slot_sizes = segment.slot_sizes
+        slot_base = segment.slot_base
 
         pools = allocator.pools
         pool_count = len(pools)
         position_of = {pool: index for index, pool in enumerate(pools)}
         owner_of = allocator._owner_of
-
-        # Inline-kernel state per pool position.  A pool is kernel-eligible
-        # when it is an exact FixedSizePool with the stock LIFO free list
-        # and no pre-existing blocks (what the factory hands out): the
-        # kernel then tracks its free list as a plain stack of *addresses*
-        # and rebuilds the Block-level pool state once, at flush time —
-        # every fixed-pool block has the pool's gross size, so the block
-        # objects carry no information the flush cannot reconstruct.
-        int_stacks: list[list | None] = [None] * pool_count
-        lists_: list[LIFOFreeList | None] = [None] * pool_count
         stats_of = [pool.stats for pool in pools]
         live_of = [pool._live for pool in pools]
         freed_of = [pool._freed_addresses for pool in pools]
         freed_bounded = [pool._freed_order is not None for pool in pools]
         gross_of = [getattr(pool, "gross_size", 0) for pool in pools]
         spaces = [pool.space for pool in pools]
+        payload_totals = self._payload_totals
+        payload_touched = self._payload_touched
+        payload_order = self._payload_order
+        survivors = self._survivors
+
+        # Inline-kernel state per pool position.  A pool is kernel-eligible
+        # when it is an exact FixedSizePool with the stock LIFO free list
+        # and no blocks yet (what the factory hands out, or a pool no
+        # earlier segment touched): the kernel then tracks its free list as
+        # a plain stack of *addresses* and rebuilds the Block-level pool
+        # state once, at flush time — every fixed-pool block has the pool's
+        # gross size, so the block objects carry no information the flush
+        # cannot reconstruct.  A pool warmed by an earlier segment drops to
+        # its own allocate/free.
+        int_stacks: list[list | None] = [None] * pool_count
+        lists_: list[LIFOFreeList | None] = [None] * pool_count
         carve_pushed = [False] * pool_count
         for index, pool in enumerate(pools):
             if (
@@ -207,23 +362,18 @@ class Profiler:
         # Batched PoolStats deltas: a warm kernel allocate always charges
         # 1 read + 2 writes + 1 visit and a kernel free 1 read + 1 write,
         # so two counters per pool capture everything and the flush derives
-        # the reads/writes/visits/ops/live deltas once per run.  Peaked
+        # the reads/writes/visits/ops/live deltas once per segment.  Peaked
         # quantities (live_payload/peak_live_payload, footprint) are NOT
         # batched: they are order-sensitive, so the kernel updates them on
         # the stats object in event order like every other path does.
         warm_allocs = [0] * pool_count
         warm_frees = [0] * pool_count
 
-        # Payload-access accumulation in first-allocation order, exactly the
-        # insertion order the legacy dict would have.
-        payload_totals = [0.0] * pool_count
-        payload_touched = [False] * pool_count
-        payload_order: list[int] = []
-
         # size -> (route entries, position of a kernel-backed first pool or
         # -1).  Entries pair each routed pool with its position so the slow
         # path can run the kernel for fixed pools at *any* route position
-        # (capacity spills may reach a second dedicated pool).
+        # (capacity spills may reach a second dedicated pool).  Plans are
+        # per segment because they bake in kernel eligibility.
         plans: dict[int, tuple[tuple, int]] = {}
         routed_pools = allocator.routed_pools
 
@@ -231,23 +381,18 @@ class Profiler:
         # the allocator is reconciled once at flush time (surviving slots in
         # allocation order — the exact content and order the per-event dict
         # maintenance would leave behind).
-        addresses: list[int | None] = [None] * compiled.slot_count
-        owners = bytearray(compiled.slot_count) if pool_count <= 255 else None
+        addresses: list[int | None] = [None] * segment.slot_count
+        owners = bytearray(segment.slot_count) if pool_count <= 255 else None
         if owners is None:  # pragma: no cover - absurd pool count
-            owners = [0] * compiled.slot_count
+            owners = [0] * segment.slot_count
         oom_failures = 0
-        footprint_timeline: list[tuple[int, int]] = []
+        footprint_timeline = self.footprint_timeline
         dispatch = 0
 
         def allocate_slow(size: int, entries: tuple) -> tuple:
-            """Route ``size`` through the plan's pools, kernels included.
-
-            Handles everything the warm inline path does not: cold kernel
-            pools (grow + carve, on integer addresses), non-kernel pools
-            (their own ``allocate``), and capacity spills along the route.
-            Returns ``(address, position, last_oom)`` with ``address`` None
-            when every pool refused.
-            """
+            """Route ``size`` along the plan: cold kernel pools (grow and
+            carve), non-kernel pools and capacity spills.  Returns
+            ``(address, position, last_oom)``, ``address`` None on OOM."""
             last_oom = None
             for pool, position in entries:
                 stack = int_stacks[position]
@@ -328,460 +473,6 @@ class Profiler:
                             if live_payload > stats.peak_live_payload:
                                 stats.peak_live_payload = live_payload
                             freed_of[first].discard(address)
-                            slot = slots[index]
-                            addresses[slot] = address
-                            owners[slot] = first
-                            payload_totals[first] += size * factor
-                            if not payload_touched[first]:
-                                payload_touched[first] = True
-                                payload_order.append(first)
-                            if track_timeline:
-                                footprint_timeline.append(
-                                    (timestamps[index], allocator.total_footprint)
-                                )
-                            continue
-                    address, position, last_oom = allocate_slow(size, entries)
-                    if address is None:
-                        oom_failures += 1
-                        if fail_on_oom:
-                            if last_oom is not None:
-                                raise last_oom
-                            raise OutOfMemoryError(size, pool=allocator.name)
-                        continue
-                    slot = slots[index]
-                    addresses[slot] = address
-                    owners[slot] = position
-                    payload_totals[position] += size * factor
-                    if not payload_touched[position]:
-                        payload_touched[position] = True
-                        payload_order.append(position)
-                else:
-                    slot = slots[index]
-                    address = addresses[slot] if slot >= 0 else None
-                    if address is None:
-                        # Never-allocated id, double free in the trace, or
-                        # the matching allocation failed (OOM): skipped.
-                        continue
-                    addresses[slot] = None
-                    dispatch += 1
-                    position = owners[slot]
-                    stack = int_stacks[position]
-                    if stack is not None:
-                        # Inline FixedSizePool free: header read + free-list
-                        # link write (batched into warm_frees), push the
-                        # address back on the stack.
-                        if freed_bounded[position]:
-                            pools[position]._note_freed(address)
-                        else:
-                            freed_of[position].add(address)
-                        warm_frees[position] += 1
-                        stats_of[position].live_payload -= slot_sizes[slot]
-                        stack.append(address)
-                    else:
-                        pools[position].free(address)
-                if track_timeline:
-                    footprint_timeline.append(
-                        (timestamps[index], allocator.total_footprint)
-                    )
-        finally:
-            allocator._dispatch_accesses += dispatch
-            for position in range(pool_count):
-                allocs = warm_allocs[position]
-                frees = warm_frees[position]
-                if allocs or frees:
-                    stats = stats_of[position]
-                    accesses = stats.accesses
-                    accesses.reads += allocs + frees
-                    accesses.writes += 2 * allocs + frees
-                    stats.free_list_visits += allocs
-                    stats.alloc_ops += allocs
-                    stats.free_ops += frees
-                    stats.live_blocks += allocs - frees
-                    stats.live_gross += (allocs - frees) * gross_of[position]
-                stack = int_stacks[position]
-                if stack is None:
-                    continue
-                # Rebuild the Block-level free list the legacy path would
-                # have left behind (same order, same field values).
-                if stack:
-                    gross = gross_of[position]
-                    name = pools[position].name
-                    lists_[position]._blocks += [
-                        Block(address, gross, pool_name=name) for address in stack
-                    ]
-                if frees or carve_pushed[position]:
-                    # The legacy push() records its single-node visit.
-                    lists_[position].last_insertion_visits = 1
-            # Reconcile the owner map and the kernel pools' live tables:
-            # surviving (leaked) allocations, in allocation order — exactly
-            # what per-event maintenance leaves behind.
-            for slot, address in enumerate(addresses):
-                if address is not None:
-                    position = owners[slot]
-                    pool = pools[position]
-                    owner_of[address] = pool
-                    if int_stacks[position] is not None:
-                        live_of[position][address] = Block(
-                            address,
-                            gross_of[position],
-                            BlockStatus.ALLOCATED,
-                            slot_sizes[slot],
-                            pool.name,
-                        )
-
-        payload_accesses_by_pool = {
-            pools[position].name: payload_totals[position]
-            for position in payload_order
-        }
-        return payload_accesses_by_pool, oom_failures, footprint_timeline
-
-    def _collect(
-        self,
-        allocator: ComposedAllocator,
-        trace: AllocationTrace,
-        configuration_id: str,
-        payload_accesses_by_pool: dict[str, float],
-    ) -> ProfileResult:
-        """Turn raw allocator counters into a :class:`ProfileResult`."""
-        breakdown = breakdown_accesses(allocator, self.mapping)
-        footprints = footprint_by_level(allocator, self.mapping, peak=True)
-
-        # The "memory accesses" metric of the paper counts the accesses of
-        # the DM allocation subsystem itself (metadata reads/writes), so it
-        # is recorded before application payload accesses are added.
-        allocator_accesses = breakdown.total
-
-        # Charge application payload accesses to the level of the owning
-        # pool: they do not count towards the accesses metric but they do
-        # make the pool-mapping parameter matter for energy and time.
-        for pool_name, payload_accesses in payload_accesses_by_pool.items():
-            module = self.mapping.module_of(pool_name)
-            level = breakdown.level(module.name)
-            # Half the payload accesses are writes (initialisation), half reads.
-            level.reads += int(payload_accesses / 2)
-            level.writes += int(payload_accesses / 2)
-
-        result = ProfileResult(
-            configuration_id=configuration_id or allocator.name,
-            trace_name=trace.name,
-        )
-        # The trace knows its length (the compiled form even without
-        # materialised events); re-iterating every event just to count them
-        # was a measurable slice of short-trace profiling.
-        operation_count = len(trace)
-        result.operation_count = operation_count
-        result.leaked_blocks = allocator.live_blocks
-
-        total_energy = self.energy_model.total_energy_nj(
-            breakdown, footprints, operation_count
-        )
-        total_cycles = self.energy_model.execution_cycles(breakdown, operation_count)
-
-        result.totals = MetricSet(
-            accesses=allocator_accesses,
-            footprint=sum(footprints.values()),
-            energy_nj=total_energy,
-            cycles=total_cycles,
-        )
-
-        for module in self.mapping.hierarchy:
-            level = result.level(module.name)
-            accesses = breakdown.levels.get(module.name)
-            if accesses is not None:
-                level.reads = accesses.reads
-                level.writes = accesses.writes
-            level.footprint = footprints.get(module.name, 0)
-            level.energy_nj = module.energy_for(level.reads, level.writes)
-
-        for pool in allocator.pools:
-            result.per_pool[pool.name] = pool.stats.snapshot()
-            result.per_pool[pool.name]["module"] = self.mapping.module_of(pool.name).name
-
-        return result
-
-
-class _TraceHandle:
-    """Duck-typed stand-in for a trace in :meth:`Profiler._collect`.
-
-    ``_collect`` only reads ``trace.name`` and ``len(trace)``; a streaming
-    session has no :class:`AllocationTrace` object to hand it, just the name
-    and the running event count.
-    """
-
-    __slots__ = ("name", "_length")
-
-    def __init__(self, name: str, length: int) -> None:
-        self.name = name
-        self._length = length
-
-    def __len__(self) -> int:
-        return self._length
-
-
-class SegmentReplaySession:
-    """Replays :class:`CompiledTrace` *segments*, carrying state across them.
-
-    The streaming layer (:mod:`repro.stream`) compiles an unbounded event
-    stream into bounded segments; this session replays them one by one
-    through a single allocator, so the final counters — and the
-    :class:`~repro.profiling.metrics.ProfileResult` built from them — are
-    byte-identical to a one-shot :meth:`Profiler.run` over the whole trace
-    (property-tested over random segmentations in ``tests/test_stream.py``).
-
-    How the identity is kept:
-
-    * each segment replays through a per-segment copy of the compiled fast
-      path.  Kernel eligibility is recomputed per segment, so a pool warmed
-      by an earlier segment (its free list or live table is populated)
-      naturally drops to its own ``allocate``/``free`` methods — the
-      reference semantics — while untouched pools still take the kernel;
-    * allocations surviving a segment are carried in a ``global slot ->
-      (address, pool position, size)`` table; a FREE whose slot predates the
-      segment (``slot < slot_base``) releases through the owning pool
-      exactly as :meth:`ComposedAllocator.free` would (dispatch charge,
-      owner-map pop, ``pool.free``);
-    * payload-access attribution, OOM counts and the footprint timeline
-      accumulate across segments in event order.
-
-    Between segments the caller may take a :meth:`snapshot` — a cumulative
-    :class:`ProfileResult` at the segment boundary — which is what windowed
-    analysis differentiates into per-window metrics.
-
-    With ``ProfilerOptions(fast_replay=False)`` (or a subclassed allocator)
-    the session replays each segment's reconstructed events through the
-    legacy ``malloc``/``free`` loop, carrying the live address table
-    instead; streams that re-bind a live request id (malformed; rejected by
-    ``AllocationTrace.validate``) are only supported by that mode.
-    """
-
-    def __init__(
-        self,
-        profiler: Profiler,
-        allocator: ComposedAllocator,
-        name: str = "stream",
-    ) -> None:
-        self.profiler = profiler
-        self.allocator = allocator
-        self.name = name
-        options = profiler.options
-        self._fast = bool(options.fast_replay) and type(allocator) is ComposedAllocator
-        self.oom_failures = 0
-        self.footprint_timeline: list[tuple[int, int]] = []
-        self.events_seen = 0
-        self.segments_replayed = 0
-        #: global slot -> (address, pool position, payload size) of
-        #: allocations alive across a segment boundary (fast mode).
-        self._survivors: dict[int, tuple[int, int, int]] = {}
-        #: request id -> address of live allocations (legacy mode).
-        self._address_of: dict[int, int] = {}
-        # Pool tables that are valid for the allocator's whole lifetime.
-        pools = allocator.pools
-        self._pools = pools
-        self._position_of = {pool: index for index, pool in enumerate(pools)}
-        self._stats_of = [pool.stats for pool in pools]
-        self._live_of = [pool._live for pool in pools]
-        self._freed_of = [pool._freed_addresses for pool in pools]
-        self._freed_bounded = [pool._freed_order is not None for pool in pools]
-        self._gross_of = [getattr(pool, "gross_size", 0) for pool in pools]
-        self._spaces = [pool.space for pool in pools]
-        # Payload-access accumulation in global first-touch order: folding
-        # each segment's local first-touch order preserves it.
-        self._payload_totals = [0.0] * len(pools)
-        self._payload_touched = [False] * len(pools)
-        self._payload_order: list[int] = []
-        self._payload_by_name: dict[str, float] = {}
-
-    # -- segment replay ----------------------------------------------------
-
-    def replay_segment(self, segment: CompiledTrace) -> None:
-        """Replay one segment, updating the carried state."""
-        if self._fast:
-            if segment.has_live_rebinding:
-                raise ValueError(
-                    "streaming fast replay requires a well-formed trace "
-                    "(an ALLOC re-binds a live request id); replay with "
-                    "ProfilerOptions(fast_replay=False)"
-                )
-            self._replay_segment_fast(segment)
-        else:
-            self._replay_segment_events(segment)
-        self.events_seen += len(segment)
-        self.segments_replayed += 1
-
-    def _replay_segment_events(self, segment: CompiledTrace) -> None:
-        """Legacy per-event replay of one segment (reference semantics)."""
-        allocator = self.allocator
-        options = self.profiler.options
-        address_of = self._address_of
-        payload = self._payload_by_name
-        for event in segment.events():
-            if event.is_alloc:
-                try:
-                    address = allocator.malloc(event.size)
-                except OutOfMemoryError:
-                    self.oom_failures += 1
-                    if options.fail_on_oom:
-                        raise
-                    continue
-                address_of[event.request_id] = address
-                owner = allocator.owner_of(address)
-                if owner is not None:
-                    payload[owner.name] = (
-                        payload.get(owner.name, 0.0)
-                        + event.size * options.payload_access_factor
-                    )
-            else:
-                address = address_of.pop(event.request_id, None)
-                if address is None:
-                    continue
-                allocator.free(address)
-            if options.track_footprint_timeline:
-                self.footprint_timeline.append(
-                    (event.timestamp, allocator.total_footprint)
-                )
-
-    def _replay_segment_fast(self, segment: CompiledTrace) -> None:
-        """Fast-path replay of one segment (columnar, kernels, batching).
-
-        A transcription of :meth:`Profiler._replay_compiled` with three
-        changes: kernel eligibility is recomputed here (per segment), the
-        slot table is local to the segment (``slot - slot_base``), and
-        cross-segment FREEs go through the carried survivor table.  The
-        one-shot method itself is left untouched — it is the proven hot
-        path the identity tests compare against.
-        """
-        allocator = self.allocator
-        options = self.profiler.options
-        factor = options.payload_access_factor
-        fail_on_oom = options.fail_on_oom
-        track_timeline = options.track_footprint_timeline
-
-        kinds = segment.kinds
-        sizes = segment.sizes
-        slots = segment.slots
-        timestamps = segment.timestamps
-        slot_sizes = segment.slot_sizes
-        slot_base = segment.slot_base
-
-        pools = self._pools
-        pool_count = len(pools)
-        position_of = self._position_of
-        owner_of = allocator._owner_of
-        stats_of = self._stats_of
-        live_of = self._live_of
-        freed_of = self._freed_of
-        freed_bounded = self._freed_bounded
-        gross_of = self._gross_of
-        spaces = self._spaces
-        payload_totals = self._payload_totals
-        payload_touched = self._payload_touched
-        payload_order = self._payload_order
-        survivors = self._survivors
-
-        # Kernel eligibility, recomputed per segment: a pool warmed by an
-        # earlier segment has free-list blocks or live entries and drops to
-        # its own allocate/free; a still-fresh pool takes the kernel.
-        int_stacks: list[list | None] = [None] * pool_count
-        lists_: list[LIFOFreeList | None] = [None] * pool_count
-        carve_pushed = [False] * pool_count
-        for index, pool in enumerate(pools):
-            if (
-                type(pool) is FixedSizePool
-                and type(pool.free_list) is LIFOFreeList
-                and not pool.free_list._blocks
-                and not pool._live
-            ):
-                int_stacks[index] = []
-                lists_[index] = pool.free_list
-
-        warm_allocs = [0] * pool_count
-        warm_frees = [0] * pool_count
-
-        # Route plans are per segment because they bake in eligibility.
-        plans: dict[int, tuple[tuple, int]] = {}
-        routed_pools = allocator.routed_pools
-
-        addresses: list[int | None] = [None] * segment.slot_count
-        owners = bytearray(segment.slot_count) if pool_count <= 255 else None
-        if owners is None:  # pragma: no cover - absurd pool count
-            owners = [0] * segment.slot_count
-        oom_failures = 0
-        footprint_timeline = self.footprint_timeline
-        dispatch = 0
-
-        def allocate_slow(size: int, entries: tuple) -> tuple:
-            last_oom = None
-            for pool, position in entries:
-                stack = int_stacks[position]
-                if stack is None:
-                    try:
-                        return pool.allocate(size), position, None
-                    except OutOfMemoryError as exc:
-                        last_oom = exc
-                        continue
-                stats = stats_of[position]
-                if stack:
-                    address = stack.pop()
-                    warm_allocs[position] += 1
-                else:
-                    gross = gross_of[position]
-                    try:
-                        grown = spaces[position].grow(gross)
-                    except OutOfMemoryError as exc:
-                        stats.failed_allocs += 1
-                        last_oom = exc
-                        continue
-                    footprint = stats.footprint + grown.size
-                    stats.footprint = footprint
-                    if footprint > stats.peak_footprint:
-                        stats.peak_footprint = footprint
-                    count = grown.size // gross
-                    address = grown.start
-                    if count > 1:
-                        stack.extend(
-                            range(address + gross, address + count * gross, gross)
-                        )
-                        carve_pushed[position] = True
-                    stats.accesses.writes += count + 1
-                    stats.alloc_ops += 1
-                    stats.live_blocks += 1
-                    stats.live_gross += gross
-                live_payload = stats.live_payload + size
-                stats.live_payload = live_payload
-                if live_payload > stats.peak_live_payload:
-                    stats.peak_live_payload = live_payload
-                freed_of[position].discard(address)
-                return address, position, None
-            return None, -1, last_oom
-
-        try:
-            for index, kind in enumerate(kinds):
-                if kind:
-                    size = sizes[index]
-                    plan = plans.get(size)
-                    if plan is None:
-                        route = routed_pools(size)
-                        entries = tuple(
-                            (pool, position_of[pool]) for pool in route
-                        )
-                        first = entries[0][1] if entries else -1
-                        if first >= 0 and int_stacks[first] is None:
-                            first = -1
-                        plan = (entries, first)
-                        plans[size] = plan
-                    entries, first = plan
-                    dispatch += 1
-                    if first >= 0:
-                        stack = int_stacks[first]
-                        if stack:
-                            address = stack.pop()
-                            warm_allocs[first] += 1
-                            stats = stats_of[first]
-                            live_payload = stats.live_payload + size
-                            stats.live_payload = live_payload
-                            if live_payload > stats.peak_live_payload:
-                                stats.peak_live_payload = live_payload
-                            freed_of[first].discard(address)
                             local = slots[index] - slot_base
                             addresses[local] = address
                             owners[local] = first
@@ -816,12 +507,17 @@ class SegmentReplaySession:
                         local = slot - slot_base
                         address = addresses[local]
                         if address is None:
+                            # Double free in the trace, or the matching
+                            # allocation failed (OOM): skipped.
                             continue
                         addresses[local] = None
                         dispatch += 1
                         position = owners[local]
                         stack = int_stacks[position]
                         if stack is not None:
+                            # Inline FixedSizePool free: header read +
+                            # free-list link write (batched into
+                            # warm_frees), push the address back.
                             if freed_bounded[position]:
                                 pools[position]._note_freed(address)
                             else:
@@ -867,6 +563,8 @@ class SegmentReplaySession:
                 stack = int_stacks[position]
                 if stack is None:
                     continue
+                # Rebuild the Block-level free list the event loop would
+                # have left behind (same order, same field values).
                 if stack:
                     gross = gross_of[position]
                     name = pools[position].name
@@ -874,9 +572,12 @@ class SegmentReplaySession:
                         Block(address, gross, pool_name=name) for address in stack
                     ]
                 if frees or carve_pushed[position]:
+                    # The legacy push() records its single-node visit.
                     lists_[position].last_insertion_visits = 1
             # Reconcile this segment's survivors into the owner map, the
-            # kernel pools' live tables, and the carried survivor table.
+            # kernel pools' live tables, and the carried survivor table —
+            # in allocation order, exactly what per-event maintenance
+            # leaves behind.
             for local, address in enumerate(addresses):
                 if address is not None:
                     position = owners[local]
@@ -901,8 +602,9 @@ class SegmentReplaySession:
 
     def _payload_accesses(self) -> dict[str, float]:
         if self._fast:
+            pools = self.allocator.pools
             return {
-                self._pools[position].name: self._payload_totals[position]
+                pools[position].name: self._payload_totals[position]
                 for position in self._payload_order
             }
         return dict(self._payload_by_name)
@@ -916,7 +618,8 @@ class SegmentReplaySession:
         """
         return self.profiler._collect(
             self.allocator,
-            _TraceHandle(self.name, self.events_seen),
+            self.name,
+            self.events_seen,
             configuration_id,
             self._payload_accesses(),
         )
@@ -924,9 +627,9 @@ class SegmentReplaySession:
     def finish(self, configuration_id: str = "") -> ProfileResult:
         """Final :class:`ProfileResult` over everything replayed so far.
 
-        Byte-identical to what :meth:`Profiler.run` returns for the
-        concatenated trace (same totals, per-level metrics, per-pool
-        snapshots and ``__profile__`` section).
+        Byte-identical to what the event loop produces for the concatenated
+        trace (same totals, per-level metrics, per-pool snapshots and
+        ``__profile__`` section).
         """
         result = self.snapshot(configuration_id)
         result.per_pool["__profile__"] = {

@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.configuration import configuration_from_point
 from repro.core.exploration import (
-    _PREFIX_TRACE_LIMIT,
     ExplorationEngine,
     ExplorationSettings,
     ProcessPoolBackend,
@@ -28,6 +27,7 @@ from repro.core.store import ResultStore
 from repro.memhier.hierarchy import embedded_two_level
 from repro.profiling.batch import BatchReplayEngine
 from repro.profiling.profiler import Profiler, ProfilerOptions
+from repro.profiling.tracer import AllocationTrace
 from repro.workloads.easyport import EasyportWorkload
 from repro.workloads.synthetic import PhasedWorkload, UniformRandomWorkload
 from repro.workloads.vtc import VTCWorkload
@@ -275,20 +275,49 @@ def result_record(record):
     )
 
 
-class TestPrefixTraceCacheBound:
-    def test_predict_point_cache_is_bounded(self):
-        trace = EasyportWorkload(packets=200).generate(seed=5)
-        engine = ExplorationEngine(STANDARD_SPACES["smoke"](), trace)
-        point = next(iter(STANDARD_SPACES["smoke"]().points()))
-        for step in range(1, 2 * _PREFIX_TRACE_LIMIT + 1):
-            engine.predict_point(point, fraction=step / (2 * _PREFIX_TRACE_LIMIT))
-        assert len(engine._prefix_traces) <= _PREFIX_TRACE_LIMIT
+class TestPredictPointPrefix:
+    """``predict_point`` replays a sliced compiled prefix of the trace."""
 
-    def test_predict_point_reuses_recent_prefixes(self):
-        trace = EasyportWorkload(packets=200).generate(seed=5)
-        engine = ExplorationEngine(STANDARD_SPACES["smoke"](), trace)
-        point = next(iter(STANDARD_SPACES["smoke"]().points()))
-        engine.predict_point(point, fraction=0.25)
-        cached = dict(engine._prefix_traces)
-        engine.predict_point(point, fraction=0.25)
-        assert dict(engine._prefix_traces) == cached  # same objects, no rebuild
+    FRACTIONS = (0.1, 0.25, 0.5, 1.0)
+
+    def reference(self, engine, trace, point, fraction):
+        """The prediction's definition: profile the first events as a trace."""
+        count = max(1, int(len(trace) * fraction))
+        prefix = AllocationTrace(events=trace.events[:count], name=trace.name)
+        configuration = engine.configuration_for(point)
+        built = AllocatorFactory(engine.hierarchy).build(configuration)
+        profiler = Profiler(
+            built.mapping,
+            energy_model=engine.energy_model,
+            options=ProfilerOptions(
+                payload_access_factor=engine.settings.payload_access_factor
+            ),
+        )
+        profile = profiler.run(built.allocator, prefix, configuration.configuration_id)
+        return (
+            profile.totals.values(list(engine.settings.metrics)),
+            profile.per_pool["__profile__"]["oom_failures"],
+        )
+
+    @pytest.mark.parametrize("space_name", ["smoke", "compact"])
+    def test_matches_profiling_the_event_prefix(self, space_name):
+        trace = EasyportWorkload(packets=120).generate(seed=5)
+        hierarchy = embedded_two_level(scratchpad_size=2048, main_size=65536)
+        space = STANDARD_SPACES[space_name]()
+        engine = ExplorationEngine(space, trace, hierarchy=hierarchy)
+        for point in space.sample(4, seed=3):
+            for fraction in self.FRACTIONS:
+                assert engine.predict_point(point, fraction=fraction) == (
+                    self.reference(engine, trace, point, fraction)
+                ), (point, fraction)
+
+    def test_predictions_leave_a_compiled_trace_lazy(self):
+        source = EasyportWorkload(packets=120).generate(seed=5)
+        hot_sizes = source.hot_sizes(top=8)
+        trace = AllocationTrace.from_compiled(source.compiled())
+        space = STANDARD_SPACES["smoke"]()
+        engine = ExplorationEngine(space, trace, hot_sizes=hot_sizes)
+        for point in space.sample(2, seed=1):
+            for fraction in self.FRACTIONS:
+                engine.predict_point(point, fraction=fraction)
+        assert trace._events is None

@@ -38,3 +38,22 @@ def test_benchmark_modules_discovered():
 def test_benchmark_module_imports(module_name):
     module = importlib.import_module(f"benchmarks.{module_name}")
     assert module.__name__ == f"benchmarks.{module_name}"
+
+
+@pytest.mark.parametrize(
+    "mode, filename",
+    [("quick", "BENCH_demo.quick.json"), ("full", "BENCH_demo.json")],
+)
+def test_only_full_runs_write_the_tracked_ledger(
+    mode, filename, tmp_path, monkeypatch
+):
+    import json
+
+    common = importlib.import_module("benchmarks.common")
+    monkeypatch.setattr(common, "REPO_ROOT", tmp_path)
+    path = common.write_bench_json("demo", mode, {"value": 1})
+    assert path == tmp_path / filename
+    assert [entry.name for entry in tmp_path.iterdir()] == [filename]
+    document = json.loads(path.read_text())
+    assert document["mode"] == mode and document["value"] == 1
+    assert set(document["environment"]) == {"git_sha", "python", "numpy", "cpu_count"}

@@ -232,6 +232,7 @@ class TestLiveRebindingFallback:
     streams (the legacy loop rebinds the id only when the allocation
     succeeds at runtime), so the compiled form flags them and the profiler
     falls back — keeping byte-identity even for traces validate() rejects.
+    A streaming session in fast mode refuses them instead.
     """
 
     def malformed_setup(self):
@@ -274,6 +275,8 @@ class TestLiveRebindingFallback:
         assert not trace.compiled().has_live_rebinding
 
     def test_malformed_stream_byte_identical(self):
+        from repro.stream import stream_profile
+
         results = []
         for fast in (True, False):
             allocator, mapping, trace = self.malformed_setup()
@@ -282,8 +285,27 @@ class TestLiveRebindingFallback:
             )
             results.append(profiler.run(allocator, trace, "malformed"))
         assert result_bytes(results[0]) == result_bytes(results[1])
+        # A legacy-mode stream replays it identically too.
+        allocator, mapping, trace = self.malformed_setup()
+        streamed = stream_profile(
+            iter(trace),
+            mapping,
+            allocator,
+            options=ProfilerOptions(fast_replay=False),
+            segment_events=2,
+            configuration_id="malformed",
+            name=trace.name,
+        )
+        assert result_bytes(streamed.result) == result_bytes(results[1])
         # The legacy semantics: one OOM, two successful allocs, one free.
         profile = results[0].per_pool["__profile__"]
         assert profile["oom_failures"] == 1
         assert results[0].per_pool["fixed"]["alloc_ops"] == 2
         assert results[0].per_pool["fixed"]["free_ops"] == 1
+
+    def test_streaming_fast_mode_refuses_the_stream(self):
+        from repro.stream import stream_profile
+
+        allocator, mapping, trace = self.malformed_setup()
+        with pytest.raises(ValueError, match="fast_replay=False"):
+            stream_profile(iter(trace), mapping, allocator, segment_events=2)

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.allocator.composed import ComposedAllocator
 from repro.core.configuration import configuration_from_point
 from repro.core.exploration import ExplorationEngine
 from repro.core.factory import AllocatorFactory
@@ -211,6 +212,50 @@ class TestSegmentedReplayIdentity:
         offsets = random_cuts(len(trace), random.Random(8))
         streamed, _ = segmented(trace, point, offsets, snapshot_every=True)
         assert result_bytes(streamed) == result_bytes(reference)
+
+
+class TestSessionModeRules:
+    """A subclassed allocator takes the event loop, one-shot and streamed."""
+
+    class Subclassed(ComposedAllocator):
+        pass
+
+    def subclassed(self, trace, point):
+        built = build(trace, point)
+        allocator = self.Subclassed(built.allocator.pools, name=built.allocator.name)
+        return built.mapping, allocator
+
+    def test_subclass_oneshot_and_streamed_byte_identical(self):
+        trace = SessionChurnWorkload(ticks=200).generate(seed=3)
+        rng = random.Random(6)
+        for point in STANDARD_SPACES["compact"]().sample(3, seed=4):
+            reference, _ = oneshot(trace, point)
+            mapping, allocator = self.subclassed(trace, point)
+            profiler = Profiler(mapping)
+            assert not SegmentReplaySession(profiler, allocator)._fast
+            oneshot_result = profiler.run(allocator, trace, "under-test")
+            assert result_bytes(oneshot_result) == result_bytes(reference)
+            for _trial in range(3):
+                offsets = random_cuts(len(trace), rng)
+                mapping, allocator = self.subclassed(trace, point)
+                session = SegmentReplaySession(
+                    Profiler(mapping), allocator, name=trace.name
+                )
+                compiler = SegmentedTraceCompiler(trace.name)
+                for start, stop in zip(offsets, offsets[1:]):
+                    session.replay_segment(compiler.feed(trace.events[start:stop]))
+                streamed = session.finish("under-test")
+                assert result_bytes(streamed) == result_bytes(oneshot_result)
+            mapping, allocator = self.subclassed(trace, point)
+            outcome = stream_profile(
+                iter(trace),
+                mapping,
+                allocator,
+                segment_events=rng.randint(1, len(trace)),
+                configuration_id="under-test",
+                name=trace.name,
+            )
+            assert result_bytes(outcome.result) == result_bytes(oneshot_result)
 
 
 class TestStreamProfile:
