@@ -56,6 +56,7 @@ from typing import Protocol, runtime_checkable
 from ..memhier.energy import EnergyModel
 from ..memhier.hierarchy import MemoryHierarchy, embedded_two_level
 from ..profiling.batch import BatchReplayEngine
+from ..profiling.compiled import CompiledTrace
 from ..profiling.metrics import ProfileResult, metric_keys
 from ..profiling.profiler import Profiler, ProfilerOptions
 from ..profiling.tracer import AllocationTrace
@@ -214,88 +215,20 @@ class SerialBackend:
 # because ``multiprocessing`` can only dispatch to importable functions.
 _WORKER_ENGINE: "ExplorationEngine | None" = None
 
-# Compiled traces received by this process, keyed by (fingerprint, name).
-# With the ``fork`` start method the parent pre-populates this cache before
-# spawning workers, so re-created pools (e.g. after an engine settings
-# change) inherit the trace through copy-on-write memory instead of
-# re-deserialising it; ``spawn`` workers fall back to the shipped payload.
-_WORKER_TRACE_CACHE: "dict[tuple[str, str], AllocationTrace]" = {}
 
-#: Bound on the trace cache (a long-lived parent exploring many workloads
-#: should not pin every trace it ever shipped).
-_WORKER_TRACE_CACHE_LIMIT = 8
-
-
-def _cache_trace(key: tuple[str, str], trace: AllocationTrace) -> None:
-    if len(_WORKER_TRACE_CACHE) >= _WORKER_TRACE_CACHE_LIMIT:
-        _WORKER_TRACE_CACHE.pop(next(iter(_WORKER_TRACE_CACHE)))
-    _WORKER_TRACE_CACHE[key] = trace
-
-
-#: Below this pickled-trace size the parent ships plain bytes: creating and
-#: mapping a shared-memory segment costs more than copying a few kilobytes
-#: into each worker's initargs.
-_SHM_MIN_BYTES = 1 << 16
-
-
-def _read_trace_ref(trace_ref: tuple) -> bytes:
-    """Materialise a shipped trace payload from its descriptor.
-
-    ``("bytes", payload)`` carries the pickle inline; ``("shm", name,
-    nbytes)`` names a :mod:`multiprocessing.shared_memory` segment the
-    parent created once for all workers — the worker attaches, copies the
-    payload out and detaches immediately, so the mapping never outlives
-    initialisation.
-    """
-    if trace_ref[0] == "bytes":
-        return trace_ref[1]
-    _kind, name, nbytes = trace_ref
-    from multiprocessing import resource_tracker, shared_memory
-
-    segment = shared_memory.SharedMemory(name=name)
-    try:
-        payload = bytes(segment.buf[:nbytes])
-    finally:
-        segment.close()
-        try:
-            # Attaching registers the segment with this process's resource
-            # tracker (Python < 3.13 has no track=False); undo that so a
-            # worker exiting cannot unlink the parent-owned segment.
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker internals vary
-            pass
-    return payload
-
-
-def _pool_worker_init(
-    engine_payload: bytes, trace_key: tuple[str, str], trace_ref: tuple
-) -> None:
+def _pool_worker_init(engine_payload: bytes, compiled: CompiledTrace) -> None:
     """Install the worker's private engine (once per worker, not per task).
 
-    ``engine_payload`` is the engine state *without* the trace;
-    ``trace_ref`` describes the pickled compiled (columnar) trace (inline
-    bytes or a shared-memory segment, see :func:`_read_trace_ref`), cached
-    by ``trace_key`` so forked workers that already inherited the trace
-    skip deserialisation entirely.
+    ``engine_payload`` is the pickled engine state *without* the trace;
+    ``compiled`` is the parent's compiled (columnar) trace, which the worker
+    wraps without materialising event objects.
     """
     global _WORKER_ENGINE
-    trace = _WORKER_TRACE_CACHE.get(trace_key)
-    if trace is None:
-        trace = AllocationTrace.from_compiled(pickle.loads(_read_trace_ref(trace_ref)))
-        _cache_trace(trace_key, trace)
     state = pickle.loads(engine_payload)
-    state["trace"] = trace
+    state["trace"] = AllocationTrace.from_compiled(compiled)
     engine = ExplorationEngine.__new__(ExplorationEngine)
     engine.__setstate__(state)
     _WORKER_ENGINE = engine
-
-
-def _pool_worker_evaluate(item: tuple[dict, str]) -> ExplorationRecord:
-    """Evaluate one (point, label) item on the worker's private engine."""
-    if _WORKER_ENGINE is None:  # pragma: no cover - defensive
-        raise RuntimeError("worker engine not initialised")
-    point, label = item
-    return _WORKER_ENGINE.run_point(point, label=label)
 
 
 def _pool_worker_evaluate_batch(
@@ -317,16 +250,17 @@ def _pool_worker_evaluate_batch(
 class ProcessPoolBackend:
     """Evaluate batches of points on a ``multiprocessing`` worker pool.
 
-    The engine state is shipped **once** per worker via the pool
-    initializer, split into two payloads: the engine-sans-trace state (a
-    few kilobytes, whatever the workload) and the compiled columnar trace —
-    placed in a single :mod:`multiprocessing.shared_memory` segment that
-    every worker reads instead of one pickled copy per worker's initargs —
-    keyed by its content fingerprint and cached per process.  Tasks carry
-    whole sub-batches of points, so each worker scores its sub-batch
-    through its own batch replay kernel; results come back in submission
-    order, which keeps parallel explorations deterministic and
-    byte-identical with serial ones.
+    The engine state is shipped **once** per worker through the pool's
+    initializer arguments, as two parts: the pickled engine-sans-trace
+    state (a few kilobytes, whatever the workload) and the trace's compiled
+    columnar form.  ``multiprocessing`` picks the transport: ``fork``
+    workers inherit the parent's immutable compiled object, so nothing is
+    copied; ``spawn``/``forkserver`` workers unpickle its compact columnar
+    form (a few bytes per event).  Tasks carry whole sub-batches of
+    points, so each worker scores its sub-batch through its own batch
+    replay kernel; results come back in submission order, which keeps
+    parallel explorations deterministic and byte-identical with serial
+    ones.
 
     Batches at or below ``serial_threshold`` points never touch the pool:
     worker startup plus IPC costs more than evaluating a handful of points
@@ -349,11 +283,6 @@ class ProcessPoolBackend:
         Largest batch evaluated in-process instead of on the pool.
         Default: ``4 * jobs`` (below one sub-batch per worker, dispatch
         cannot pay for itself).
-    share_trace:
-        Ship the compiled trace through shared memory (default).  Disabled,
-        every worker receives its own pickled copy via initargs — the
-        pre-batch behaviour, kept as an escape hatch for platforms without
-        ``/dev/shm``.
     """
 
     def __init__(
@@ -362,7 +291,6 @@ class ProcessPoolBackend:
         chunk_size: int | None = None,
         start_method: str | None = None,
         serial_threshold: int | None = None,
-        share_trace: bool = True,
     ) -> None:
         resolved = jobs if jobs is not None else (os.cpu_count() or 1)
         if resolved < 1:
@@ -377,102 +305,46 @@ class ProcessPoolBackend:
         self.serial_threshold = (
             serial_threshold if serial_threshold is not None else 4 * resolved
         )
-        self.share_trace = share_trace
         self._pool: multiprocessing.pool.Pool | None = None
-        # Parent-owned shared-memory segment holding the pickled compiled
-        # trace for the current pool's workers (None when shipped inline).
-        self._trace_shm = None
-        # Digest of the engine state the current workers were pickled from.
+        # Digest of the engine state the current workers were built from.
         # Comparing state (not object identity) makes the pool track any
         # mutation that would change evaluation results — e.g. assigning
-        # ``engine.hot_sizes`` between batches — so parallel runs can never
-        # silently keep profiling against a stale worker snapshot.
+        # ``engine.hot_sizes`` between batches, or appending to the trace —
+        # so parallel runs can never silently keep profiling against a
+        # stale worker snapshot.
         self._pool_state_digest: bytes | None = None
-        # Serialised compiled traces, keyed by (fingerprint, name): a pool
-        # re-created because of a settings change re-uses the bytes.
-        self._trace_payloads: dict[tuple[str, str], bytes] = {}
 
-    def _engine_payloads(
-        self, engine: "ExplorationEngine"
-    ) -> tuple[bytes, tuple[str, str], bytes]:
-        """Split the engine into its per-worker payloads.
+    @staticmethod
+    def _engine_payload(engine: "ExplorationEngine") -> bytes:
+        """The pickled engine state without its trace.
 
-        Returns ``(engine-sans-trace payload, trace key, compiled-trace
-        payload)``.  The engine payload is O(settings), not O(events) — the
-        regression test asserts it stays flat as traces grow.
+        O(settings), not O(events) — the regression test asserts it stays
+        flat as traces grow; the trace travels separately in compiled form.
         """
-        trace = engine.trace
-        compiled = trace.compiled()
-        key = (compiled.fingerprint, trace.name)
-        trace_payload = self._trace_payloads.get(key)
-        if trace_payload is None:
-            trace_payload = pickle.dumps(compiled, protocol=pickle.HIGHEST_PROTOCOL)
-            if len(self._trace_payloads) >= _WORKER_TRACE_CACHE_LIMIT:
-                self._trace_payloads.pop(next(iter(self._trace_payloads)))
-            self._trace_payloads[key] = trace_payload
         state = engine.__getstate__()
         state.pop("trace")
-        engine_payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        return engine_payload, key, trace_payload
+        return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
 
     # The pool is created lazily on the first batch and kept while the
     # engine state is unchanged: heuristic searches evaluate many small
     # generations, and re-forking workers per generation would dominate the
     # runtime.  The freshness digest covers the engine-sans-trace payload
-    # plus the trace fingerprint, both cheap — the trace itself is never
-    # re-serialised once its payload is cached.
-    def _trace_ref_for(self, trace_payload: bytes) -> tuple:
-        """Stage the pickled trace for worker pickup (shared memory or inline).
-
-        One segment serves every worker of the pool; it stays mapped in the
-        parent until the pool is torn down (workers attach by name during
-        their initialisation, which can happen lazily on some platforms).
-        """
-        if self.share_trace and len(trace_payload) >= _SHM_MIN_BYTES:
-            try:
-                from multiprocessing import shared_memory
-
-                segment = shared_memory.SharedMemory(
-                    create=True, size=len(trace_payload)
-                )
-            except (ImportError, OSError):  # pragma: no cover - no /dev/shm
-                return ("bytes", trace_payload)
-            segment.buf[: len(trace_payload)] = trace_payload
-            self._trace_shm = segment
-            return ("shm", segment.name, len(trace_payload))
-        return ("bytes", trace_payload)
-
-    def _release_trace_shm(self) -> None:
-        segment, self._trace_shm = self._trace_shm, None
-        if segment is not None:
-            try:
-                segment.close()
-                segment.unlink()
-            except Exception:  # pragma: no cover - already unlinked
-                pass
-
+    # plus the trace's fingerprint and name, both cheap — the trace itself
+    # is never serialised by the parent.
     def _ensure_pool(self, engine: "ExplorationEngine") -> multiprocessing.pool.Pool:
-        engine_payload, trace_key, trace_payload = self._engine_payloads(engine)
+        engine_payload = self._engine_payload(engine)
+        compiled = engine.trace.compiled()
+        trace_key = (compiled.fingerprint, engine.trace.name)
         digest = hashlib.sha256(
             engine_payload + repr(trace_key).encode()
         ).digest()
         if self._pool is None or self._pool_state_digest != digest:
             self.close()
-            # Pre-populate the process-level cache so fork-started workers
-            # inherit the trace instead of deserialising it.  Cache an
-            # immutable snapshot wrapped around the compiled form — never
-            # the live trace object: a caller could mutate that in place
-            # later, and a stale cache entry under a content-keyed
-            # fingerprint would hand workers the wrong events.
-            if _WORKER_TRACE_CACHE.get(trace_key) is None:
-                _cache_trace(
-                    trace_key, AllocationTrace.from_compiled(engine.trace.compiled())
-                )
             context = multiprocessing.get_context(self.start_method)
             self._pool = context.Pool(
                 processes=self.jobs,
                 initializer=_pool_worker_init,
-                initargs=(engine_payload, trace_key, self._trace_ref_for(trace_payload)),
+                initargs=(engine_payload, compiled),
             )
             self._pool_state_digest = digest
         return self._pool
@@ -504,7 +376,6 @@ class ProcessPoolBackend:
             self._pool.join()
             self._pool = None
             self._pool_state_digest = None
-        self._release_trace_shm()
 
     def __enter__(self) -> "ProcessPoolBackend":
         return self

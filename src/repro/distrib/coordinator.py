@@ -79,7 +79,9 @@ DEFAULT_LEASE_TIMEOUT = 30.0
 HEARTBEAT_FRACTION = 6.0
 
 #: Seconds the coordinator keeps answering ``done`` after the sweep
-#: finished, so workers mid-request disconnect cleanly.
+#: finished, so workers mid-request disconnect cleanly and workers that
+#: start late (after the others finished the sweep) join and exit 0
+#: instead of finding the port closed.
 DRAIN_GRACE = 2.0
 
 
@@ -583,13 +585,18 @@ class Coordinator:
         return database
 
     def _broadcast_done(self) -> None:
-        """Tell every connected worker to disconnect, then drain briefly."""
+        """Tell every connected worker to disconnect, then drain briefly.
+
+        The listener stays open for the whole window even when no worker is
+        connected: a worker may still be starting up, and the coordinator
+        cannot know how many will join.
+        """
         assert self._selector is not None
         for connection in list(self._connections.values()):
             if connection.greeted:
                 self._send(connection, {"type": "done"})
         deadline = time.monotonic() + DRAIN_GRACE
-        while self._connections and time.monotonic() < deadline:
+        while time.monotonic() < deadline:
             for key, _mask in self._selector.select(0.05):
                 if key.fileobj is self._listener:
                     self._accept()

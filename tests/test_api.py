@@ -102,6 +102,12 @@ class TestSpecValidation:
                 workload=ComponentRef("uniform", {"operatoins": 3})
             ).validate()
 
+    def test_removed_backend_param_names_the_key(self):
+        with pytest.raises(SpecError, match="backend.params.*share_trace"):
+            small_spec(
+                backend=ComponentRef("process", {"share_trace": False})
+            ).validate()
+
     def test_bad_params_type_names_the_key(self):
         with pytest.raises(SpecError, match="strategy.params"):
             ExperimentSpec.from_dict(

@@ -7,7 +7,8 @@ single fast replay — and through ``tests/test_fast_replay.py``'s own
 contract, the legacy event loop — would have produced.  This file holds the
 kernel to that across every standard space and workload, through the
 exploration engine and both backends, for the mid-trace OOM fallback, and
-for the shared-memory trace shipping of the process pool.
+for the process pool under both transports of its compiled trace: forked
+workers inherit the parent's object, spawned workers unpickle it.
 """
 
 import json
@@ -204,7 +205,7 @@ class TestEngineLevelIdentity:
 
 
 class TestProcessPoolBatchDispatch:
-    """Sub-batch dispatch, shared-memory trace shipping, serial threshold."""
+    """Sub-batch dispatch, the spawn transport, serial threshold."""
 
     def test_pool_matches_serial(self):
         trace = EasyportWorkload(packets=150).generate(seed=5)
@@ -222,27 +223,62 @@ class TestProcessPoolBatchDispatch:
             serial.close()
             pooled.close()
 
-    def test_shared_memory_trace_shipping(self, monkeypatch):
-        import repro.core.exploration as exploration
+    def test_spawn_transport_matches_serial(self):
+        """Spawned workers receive the compiled trace pickled in initargs.
 
-        # Force the shared-memory path whatever the trace size.
-        monkeypatch.setattr(exploration, "_SHM_MIN_BYTES", 0)
-        trace = EasyportWorkload(packets=150).generate(seed=5)
-        space = STANDARD_SPACES["smoke"]()
-        backend = ProcessPoolBackend(jobs=2, serial_threshold=0)
-        engine = ExplorationEngine(space, trace, backend=backend)
-        serial = ExplorationEngine(space, trace, backend=SerialBackend())
-        try:
-            items = [(point, f"cfg{i:05d}") for i, point in enumerate(space.points())]
-            got = engine.evaluate_points(items)
-            assert backend._trace_shm is not None, "trace was not staged in shm"
-            want = serial.evaluate_points(items)
-            assert [result_record(r) for r in got] == [result_record(r) for r in want]
-        finally:
-            engine.close()
-            serial.close()
-        # close() must unlink the parent-owned segment.
-        assert backend._trace_shm is None
+        Runs in a child interpreter so its stderr can be checked: a trace
+        transport that leaks OS resources makes ``multiprocessing`` print
+        tracebacks at exit even when the records are right.
+        """
+        import os
+        import subprocess
+        import sys
+        import textwrap
+        from pathlib import Path
+
+        import repro
+
+        script = textwrap.dedent(
+            """
+            from repro.core.exploration import (
+                ExplorationEngine, ProcessPoolBackend, SerialBackend,
+            )
+            from repro.core.space import STANDARD_SPACES
+            from repro.workloads.easyport import EasyportWorkload
+
+            def records(backend):
+                space = STANDARD_SPACES["smoke"]()
+                trace = EasyportWorkload(packets=4000).generate(seed=5)
+                engine = ExplorationEngine(space, trace, backend=backend)
+                items = [(p, f"cfg{i:05d}") for i, p in enumerate(space.points())]
+                try:
+                    return [r.as_dict() for r in engine.evaluate_points(items)]
+                finally:
+                    engine.close()
+
+            if __name__ == "__main__":
+                pool = ProcessPoolBackend(
+                    jobs=2, start_method="spawn", serial_threshold=0
+                )
+                same = records(pool) == records(SerialBackend())
+                print("equal" if same else "differ")
+            """
+        )
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source_root, env.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "equal"
+        assert "Traceback" not in completed.stderr, completed.stderr
 
     def test_small_batches_never_touch_the_pool(self):
         trace = EasyportWorkload(packets=150).generate(seed=5)

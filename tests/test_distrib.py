@@ -320,6 +320,33 @@ class TestInProcessCluster:
         assert coordinator.stats["leases_granted"] >= 3
         assert coordinator.stats["workers_seen"] == {"matching"}
 
+    def test_worker_joining_after_the_sweep_is_told_done(self, tmp_path):
+        """A worker that starts after the others finished still exits 0.
+
+        The coordinator cannot know how many workers are still starting,
+        so it keeps its port open through the drain window and answers a
+        late joiner with ``done`` instead of refusing the connection.
+        """
+        gone = threading.Event()
+
+        def log(line):
+            if "worker early gone" in line:
+                gone.set()
+
+        coordinator, thread = self.start_coordinator(tmp_path, lease_size=3)
+        coordinator.log = log
+        quiet = lambda line: None  # noqa: E731
+        assert Worker(coordinator.address, name="early", log=quiet).run() == EXIT_DONE
+        # Join only once the coordinator is idle with no worker connected.
+        assert gone.wait(timeout=10)
+        threading.Event().wait(0.2)
+        late = Worker(coordinator.address, name="late", log=quiet)
+        assert late.run() == EXIT_DONE
+        assert late.leases_completed == 0
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert len(coordinator.database) == 8
+
 
 class TestAutoCompaction:
     """Coordinator-driven compaction of the shared store between leases."""

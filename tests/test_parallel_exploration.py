@@ -381,10 +381,10 @@ class TestWorkerPayloads:
     """The process-pool backend must ship O(points) per chunk, not O(trace).
 
     The engine state travels once per worker through the pool initializer,
-    split into an engine-sans-trace payload (flat in the trace size) and a
-    compiled columnar trace payload (a few bytes per event, serialised once
-    and reused across pool restarts).  Chunk items stay (point, label)
-    tuples whatever the workload.
+    split into an engine-sans-trace payload (flat in the trace size) and the
+    compiled columnar trace (a few bytes per event when a spawned worker
+    unpickles it).  Chunk items stay (point, label) tuples whatever the
+    workload.
     """
 
     def engine_for(self, packets):
@@ -397,8 +397,8 @@ class TestWorkerPayloads:
         backend = ProcessPoolBackend(jobs=2)
         small = self.engine_for(50)
         big = self.engine_for(2000)
-        small_payload, _, small_trace_payload = backend._engine_payloads(small)
-        big_payload, _, big_trace_payload = backend._engine_payloads(big)
+        small_payload = backend._engine_payload(small)
+        big_payload = backend._engine_payload(big)
         assert len(big.trace) > 10 * len(small.trace)
         # Engine payload no longer embeds the events: growing the trace by
         # an order of magnitude must not move it by more than a few hundred
@@ -409,8 +409,10 @@ class TestWorkerPayloads:
         event_payload = pickle.dumps(
             big.trace.events, protocol=pickle.HIGHEST_PROTOCOL
         )
-        assert len(big_trace_payload) < len(event_payload) / 2
-        assert len(small_trace_payload) < len(event_payload)
+        compiled_payload = pickle.dumps(
+            big.trace.compiled(), protocol=pickle.HIGHEST_PROTOCOL
+        )
+        assert len(compiled_payload) < len(event_payload) / 2
 
     def test_chunk_items_are_o_points(self):
         import pickle
@@ -424,14 +426,6 @@ class TestWorkerPayloads:
         # Four points must cost well under a kilobyte — nothing trace-sized
         # rides along with a chunk.
         assert len(chunk_payload) < 1024
-
-    def test_trace_payload_cached_across_pool_restarts(self):
-        backend = ProcessPoolBackend(jobs=2)
-        engine = self.engine_for(200)
-        _, key_a, payload_a = backend._engine_payloads(engine)
-        _, key_b, payload_b = backend._engine_payloads(engine)
-        assert key_a == key_b
-        assert payload_a is payload_b  # serialised exactly once
 
     def test_worker_reconstructs_equivalent_records(self, small_trace, pool_backend):
         """End-to-end: records computed in workers match in-process ones."""
@@ -447,30 +441,34 @@ class TestWorkerPayloads:
             record.metrics for record in parallel.evaluate_points(items)
         ]
 
-    def test_parent_trace_cache_immune_to_mutation(self):
-        """The pre-populated worker cache must hold a snapshot, not the live trace.
+    def test_trace_mutation_rebuilds_the_pool(self):
+        """Appending to the live trace must reach the workers.
 
-        Mutating the original trace after a pool was created must not leak
-        the mutated events to a later engine whose (regenerated) trace has
-        the same content fingerprint.
+        The next pooled batch after a mutation must match a serial engine
+        over the mutated trace, on a freshly built pool.
         """
-        from repro.core import exploration as exploration_module
         from repro.profiling.events import alloc
 
-        trace = EasyportWorkload(packets=30).generate(seed=5)
-        engine = ExplorationEngine(smoke_parameter_space(), trace)
-        backend = ProcessPoolBackend(jobs=2)
+        trace = EasyportWorkload(packets=150).generate(seed=5)
+        backend = ProcessPoolBackend(jobs=2, serial_threshold=0)
+        pooled = ExplorationEngine(smoke_parameter_space(), trace, backend=backend)
+        items = [
+            (point, f"cfg{index:05d}")
+            for index, point in enumerate(smoke_parameter_space().points())
+        ]
         try:
-            payloads = backend._engine_payloads(engine)
-            key = payloads[1]
-            exploration_module._WORKER_TRACE_CACHE.pop(key, None)
-            pool = backend._ensure_pool(engine)
-            assert pool is not None
-            cached = exploration_module._WORKER_TRACE_CACHE[key]
-            assert cached is not trace
-            events_before = len(cached)
-            trace.append(alloc(10**6, 64, 10**6))  # mutate the live trace
-            assert len(exploration_module._WORKER_TRACE_CACHE[key]) == events_before
+            before = backend.evaluate(pooled, items)
+            first_pool = backend._pool
+            assert first_pool is not None
+            # An allocation larger than any pool forces a different outcome.
+            trace.append(alloc(10**6, 1 << 20, 10**6))
+            got = backend.evaluate(pooled, items)
+            assert backend._pool is not None and backend._pool is not first_pool
         finally:
             backend.close()
-            exploration_module._WORKER_TRACE_CACHE.pop(key, None)
+        serial = ExplorationEngine(
+            smoke_parameter_space(), trace, hot_sizes=pooled.hot_sizes
+        )
+        want = [record.as_dict() for record in serial.run_points(items)]
+        assert [record.as_dict() for record in got] == want
+        assert [record.as_dict() for record in before] != want
