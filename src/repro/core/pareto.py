@@ -18,6 +18,10 @@ Two ways to obtain a front live here:
   so streaming consumers (the exploration engine, store-backed reporting,
   dominance pruning) never hold more than the front in memory.
 
+Layering the whole set into successive fronts has one implementation,
+:func:`fast_non_dominated_sort`; :func:`pareto_rank` is its per-vector rank
+view.  The search strategies rank their populations with these two.
+
 The functions here are generic over "items with metric vectors"; the
 exploration layer calls them with :class:`ExplorationRecord` objects, and
 tests call them with plain tuples.
@@ -163,28 +167,64 @@ class IncrementalParetoFront(Generic[T]):
         return f"IncrementalParetoFront(size={len(self._items)})"
 
 
+def fast_non_dominated_sort(vectors: Sequence[Sequence[float]]) -> list[list[int]]:
+    """Layer ``vectors`` into Pareto fronts (front 0 = non-dominated).
+
+    The one layering of the package (NSGA-II's book-keeping pass, Deb et
+    al. 2002): one O(N²) sweep counts, for every vector, how many vectors
+    dominate it and which vectors it dominates; peeling the zero-count
+    layer repeatedly yields the fronts.  Layer ``k`` is what
+    :func:`non_dominated` returns once layers ``0..k-1`` are removed.
+    Indices within a front stay in input order, so the layering is
+    deterministic.
+    """
+    count = len(vectors)
+    dominated_by: list[list[int]] = [[] for _ in range(count)]
+    domination_count = [0] * count
+    for i in range(count):
+        first = vectors[i]
+        for j in range(i + 1, count):
+            second = vectors[j]
+            better = worse = False
+            for a, b in zip(first, second):
+                if a < b:
+                    better = True
+                elif a > b:
+                    worse = True
+            if better and not worse:
+                dominated_by[i].append(j)
+                domination_count[j] += 1
+            elif worse and not better:
+                dominated_by[j].append(i)
+                domination_count[i] += 1
+    fronts: list[list[int]] = []
+    current = [index for index in range(count) if domination_count[index] == 0]
+    while current:
+        fronts.append(current)
+        upcoming: list[int] = []
+        for index in current:
+            for other in dominated_by[index]:
+                domination_count[other] -= 1
+                if domination_count[other] == 0:
+                    upcoming.append(other)
+        # Restore input order within the next layer (members may be
+        # released out of order by the peeling loop above).
+        current = sorted(upcoming)
+    return fronts
+
+
 def pareto_rank(vectors: Sequence[Sequence[float]]) -> list[int]:
     """Non-dominated sorting rank of every vector (0 = on the Pareto front).
 
     Rank ``k`` means the vector becomes non-dominated once all vectors of
-    rank < ``k`` are removed — the standard NSGA-style layering, useful for
-    the evolutionary search extension and for reporting "how far from
-    optimal" a configuration is.
+    rank < ``k`` are removed — the rank view of
+    :func:`fast_non_dominated_sort`, used by the search strategies and for
+    reporting "how far from optimal" a configuration is.
     """
-    remaining = list(range(len(vectors)))
     ranks = [0] * len(vectors)
-    current_rank = 0
-    while remaining:
-        subset = [vectors[index] for index in remaining]
-        front_local = non_dominated(subset)
-        front_global = {remaining[i] for i in front_local}
-        if not front_global:
-            # Should not happen, but guard against infinite loops.
-            front_global = set(remaining)
-        for index in front_global:
-            ranks[index] = current_rank
-        remaining = [index for index in remaining if index not in front_global]
-        current_rank += 1
+    for rank, front in enumerate(fast_non_dominated_sort(vectors)):
+        for index in front:
+            ranks[index] = rank
     return ranks
 
 

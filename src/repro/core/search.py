@@ -25,6 +25,17 @@ a given seed is identical whatever :class:`~repro.core.exploration.
 EvaluationBackend` performs the evaluations — serial and process-pool runs
 produce the same databases.
 
+The generation loop every generational strategy shares lives once, in
+:class:`SearchStrategy`: a strategy proposes points, filters them through
+:meth:`~SearchStrategy._prune_candidates`, and hands them to
+:meth:`~SearchStrategy._step`, which trims the generation to the budget,
+evaluates it and counts a stall when it adds no new evaluation;
+:meth:`~SearchStrategy._seed` does the same for uniform random starting
+points, :meth:`~SearchStrategy._members` lists everything evaluated so far
+and :attr:`~SearchStrategy._searching` says whether to go on (budget left,
+not stalled).  Only :class:`HillClimbSearch` counts its own stalls, because
+its restart evaluations count towards them.
+
 Dominance pruning (``prune=True``) spends a *fraction* of a profiling run
 per new candidate to avoid whole ones: the engine replays only a prefix of
 the trace (:meth:`ExplorationEngine.predict_point`), and a candidate is
@@ -145,6 +156,8 @@ class SearchStrategy:
         # strategies (or parallel backends) cannot perturb each other.
         self.rng = random.Random(self.budget.seed)
         self._evaluated: dict[int, ExplorationRecord] = {}
+        # Consecutive generations that added no new evaluation (see _step).
+        self._stalled = 0
         self._sink: ResultSink | None = None
         # Pruning state: the live front of fully evaluated feasible records,
         # the *partial* (prefix) vectors of those records (the surrogate
@@ -317,6 +330,46 @@ class SearchStrategy:
     def budget_left(self) -> bool:
         return self.evaluations_used < self.budget.evaluations
 
+    @property
+    def _searching(self) -> bool:
+        """Budget left and fewer than ``max_stalled_generations`` stalls in a row."""
+        return self.budget_left and self._stalled < self.max_stalled_generations
+
+    def _members(self) -> list[tuple[dict, ExplorationRecord]]:
+        """``(parameters, record)`` of every point evaluated so far, in
+        evaluation order."""
+        return [(record.parameters, record) for record in self._evaluated.values()]
+
+    def _step(
+        self, points: list[dict], database: ResultDatabase
+    ) -> list[tuple[dict, ExplorationRecord]]:
+        """Evaluate one generation: trim it to the budget, evaluate it as one
+        batch and count a stall when it added no new evaluation (a fully
+        pruned, memoised or duplicate generation).  Returns the evaluated
+        ``(point, record)`` pairs in order."""
+        used_before = self.evaluations_used
+        points = self._within_budget(points)
+        records = self._evaluate_batch(points, database) if points else []
+        self._stalled = self._stalled + 1 if self.evaluations_used == used_before else 0
+        return list(zip(points, records))
+
+    def _seed(
+        self, size: int, database: ResultDatabase, distinct: bool = True
+    ) -> list[tuple[dict, ExplorationRecord]]:
+        """Evaluate pruned, uniformly random points until ``size`` distinct
+        points have been evaluated — or, with ``distinct=False``, until
+        ``size`` seeds have, duplicates included.  Pruned draws are redrawn,
+        bounded by the stall counter.  Returns every evaluated
+        ``(point, record)`` seed pair in order."""
+        seeded: list[tuple[dict, ExplorationRecord]] = []
+        while self._searching:
+            have = len(self._evaluated) if distinct else len(seeded)
+            if have >= size:
+                break
+            seeds = [self._random_point() for _ in range(size - have)]
+            seeded.extend(self._step(self._prune_candidates(seeds), database))
+        return seeded
+
     def _random_point(self) -> dict:
         return self.engine.space.point_at(self.rng.randrange(self.engine.space.size()))
 
@@ -480,48 +533,38 @@ class EvolutionarySearch(SearchStrategy):
         super().__init__(engine, budget, metrics, prune, prune_fraction)
         if population <= 1 or offspring <= 0:
             raise ValueError("population must be > 1 and offspring > 0")
+        if not 0.0 <= mutation_rate <= 1.0:
+            raise ValueError(f"mutation_rate must be in [0, 1], got {mutation_rate}")
         self.population_size = population
         self.offspring_size = offspring
         self.mutation_rate = mutation_rate
 
-    def _select(self, records: list[ExplorationRecord]) -> list[ExplorationRecord]:
-        """Keep the best ``population_size`` records by Pareto rank, then by
-        the first metric as a tiebreaker."""
-        vectors = [record.metric_vector(self.metrics) for record in records]
-        ranks = pareto_rank(vectors)
-        order = sorted(
-            range(len(records)),
-            key=lambda i: (ranks[i], vectors[i][0]),
+    def _failure_order(self, records: list[ExplorationRecord]) -> list[ExplorationRecord]:
+        """Infeasible records, least failed allocations first.
+
+        An infeasible replay stopped at its first failed allocation, so its
+        metric vector looks cheap; selection therefore ranks these records
+        behind every feasible one, in this order."""
+        return sorted(
+            (record for record in records if not record.feasible),
+            key=lambda record: (record.oom_failures, record.metric_vector(self.metrics)),
         )
-        return [records[i] for i in order[: self.population_size]]
+
+    def _select(self, records: list[ExplorationRecord]) -> list[ExplorationRecord]:
+        """Keep the best ``population_size`` records: feasible ones by Pareto
+        rank, then by the first metric as a tiebreaker; infeasible ones
+        after them, in :meth:`_failure_order`."""
+        feasible = [record for record in records if record.feasible]
+        vectors = [record.metric_vector(self.metrics) for record in feasible]
+        ranks = pareto_rank(vectors)
+        order = sorted(range(len(feasible)), key=lambda i: (ranks[i], vectors[i][0]))
+        ranked = [feasible[i] for i in order] + self._failure_order(records)
+        return ranked[: self.population_size]
 
     def _search(self, database: ResultDatabase) -> None:
-        population: list[tuple[dict, ExplorationRecord]] = []
-        stalled = 0
-        while (
-            len(population) < self.population_size
-            and self.budget_left
-            and stalled < self.max_stalled_generations
-        ):
-            used_before = self.evaluations_used
-            seeds = [
-                self._random_point()
-                for _ in range(self.population_size - len(population))
-            ]
-            seeds = self._prune_candidates(seeds)
-            seeds = self._within_budget(seeds)
-            if not seeds:
-                if not self.prune:
-                    break
-                # Every seed was pruned: draw a fresh batch (bounded by the
-                # stall counter) instead of giving up on the population.
-                stalled += 1
-                continue
-            records = self._evaluate_batch(seeds, database)
-            population.extend(zip(seeds, records))
-            stalled = stalled + 1 if self.evaluations_used == used_before else 0
-        while self.budget_left and len(population) >= 2 and stalled < self.max_stalled_generations:
-            used_before = self.evaluations_used
+        # The population is a multiset: a seed drawn twice is kept twice.
+        population = self._seed(self.population_size, database, distinct=False)
+        while self._searching and len(population) >= 2:
             child_points = []
             for _ in range(self.offspring_size):
                 first, second = self.rng.sample(population, 2)
@@ -529,21 +572,9 @@ class EvolutionarySearch(SearchStrategy):
                 if self.rng.random() < self.mutation_rate:
                     child_point = self._mutate(child_point)
                 child_points.append(child_point)
-            child_points = self._prune_candidates(child_points)
-            child_points = self._within_budget(child_points)
-            if not child_points:
-                if not self.prune:
-                    break
-                # A fully pruned generation still counts against the stall
-                # limit, so a converged search terminates rather than spins.
-                stalled += 1
-                continue
-            child_records = self._evaluate_batch(child_points, database)
-            offspring = list(zip(child_points, child_records))
+            offspring = self._step(self._prune_candidates(child_points), database)
             combined = population + offspring
-            selected_records = self._select([record for _point, record in combined])
-            selected_ids = {id(record) for record in selected_records}
+            selected_ids = {id(record) for record in self._select([r for _, r in combined])}
             population = [
                 (point, record) for point, record in combined if id(record) in selected_ids
             ][: self.population_size]
-            stalled = stalled + 1 if self.evaluations_used == used_before else 0

@@ -441,8 +441,10 @@ def detect_format(path: str | Path) -> str | None:
     """Sniff the store format of ``path`` from its magic.
 
     Returns ``None`` for a missing or empty file (either format may be
-    grown there), ``"binary"`` when the binary magic is present, and
-    ``"jsonl"`` for any other non-empty file.
+    grown there), ``"binary"`` when the binary magic is present and
+    ``"jsonl"`` when the file starts with a JSON object (a torn first line
+    still does).  Any other non-empty file is not a result store: raises
+    :class:`StoreError` rather than letting an append grow a foreign file.
     """
     try:
         with open(path, "rb") as handle:
@@ -451,7 +453,14 @@ def detect_format(path: str | Path) -> str | None:
         return None
     if not head:
         return None
-    return "binary" if head == _BINARY_MAGIC else "jsonl"
+    if head == _BINARY_MAGIC:
+        return "binary"
+    if head.startswith(b"{"):
+        return "jsonl"
+    raise StoreError(
+        f"{path} is not a result store (it starts with neither the binary "
+        "magic nor a JSON object)"
+    )
 
 
 def _fsync_directory(directory: Path) -> None:

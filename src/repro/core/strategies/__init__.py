@@ -20,8 +20,9 @@ fixed-seed runs are byte-identical across evaluation backends.
 This package must not import :mod:`repro.api` (the registry imports us).
 """
 
+from ..pareto import fast_non_dominated_sort
 from .forest import RandomForest, RegressionTree
-from .nsga2 import NSGA2Search, crowding_distance, fast_non_dominated_sort
+from .nsga2 import NSGA2Search, crowding_distance
 from .surrogate import SurrogateSearch
 from .tpe import TPESearch
 

@@ -5,9 +5,8 @@ al., 2002), and the workhorse of allocator design-space exploration in the
 parallel-EA DMM literature.  Three ingredients distinguish it from the
 plain :class:`~repro.core.search.EvolutionarySearch`:
 
-* :func:`fast_non_dominated_sort` layers the population into fronts with
-  one O(N²) domination-count pass (instead of recomputing the batch front
-  per layer),
+* :func:`~repro.core.pareto.fast_non_dominated_sort` layers the population
+  into fronts,
 * :func:`crowding_distance` orders members *within* a front by how isolated
   they are, so selection pressure spreads the population along the whole
   front instead of clumping around one region, and
@@ -26,58 +25,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ..exploration import ExplorationEngine
+from ..pareto import fast_non_dominated_sort
 from ..results import ExplorationRecord, ResultDatabase
-from ..search import DEFAULT_PRUNE_FRACTION, SearchBudget, SearchStrategy
+from ..search import EvolutionarySearch
 
 #: Crowding distance assigned to the boundary members of every front: they
 #: are the extremes of the front and must always win crowding comparisons.
 BOUNDARY_CROWDING = float("inf")
-
-
-def fast_non_dominated_sort(vectors: Sequence[Sequence[float]]) -> list[list[int]]:
-    """Layer ``vectors`` into Pareto fronts (front 0 = non-dominated).
-
-    The NSGA-II book-keeping pass: one O(N²) sweep counts, for every
-    vector, how many vectors dominate it and which vectors it dominates;
-    peeling the zero-count layer repeatedly yields the fronts.  Layer
-    membership matches :func:`repro.core.pareto.pareto_rank`
-    (property-tested); only the cost differs.  Indices within a front stay
-    in input order, so the layering is deterministic.
-    """
-    count = len(vectors)
-    dominated_by: list[list[int]] = [[] for _ in range(count)]
-    domination_count = [0] * count
-    for i in range(count):
-        first = vectors[i]
-        for j in range(i + 1, count):
-            second = vectors[j]
-            better = worse = False
-            for a, b in zip(first, second):
-                if a < b:
-                    better = True
-                elif a > b:
-                    worse = True
-            if better and not worse:
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif worse and not better:
-                dominated_by[j].append(i)
-                domination_count[i] += 1
-    fronts: list[list[int]] = []
-    current = [index for index in range(count) if domination_count[index] == 0]
-    while current:
-        fronts.append(current)
-        upcoming: list[int] = []
-        for index in current:
-            for other in dominated_by[index]:
-                domination_count[other] -= 1
-                if domination_count[other] == 0:
-                    upcoming.append(other)
-        # Restore input order within the next layer (members may be
-        # released out of order by the peeling loop above).
-        current = sorted(upcoming)
-    return fronts
 
 
 def crowding_distance(
@@ -117,30 +71,24 @@ def crowding_distance(
     return distances
 
 
-class NSGA2Search(SearchStrategy):
+def crowded_order(vectors: Sequence[Sequence[float]]) -> list[tuple[int, int, float]]:
+    """``(index, layer, crowding)`` of every vector, best first.
+
+    Layer by layer, the more isolated member (larger crowding distance)
+    comes first; the index breaks exact ties.
+    """
+    ordered: list[tuple[int, int, float]] = []
+    for layer, front in enumerate(fast_non_dominated_sort(vectors)):
+        distances = crowding_distance(vectors, front)
+        for index in sorted(front, key=lambda i: (-distances[i], i)):
+            ordered.append((index, layer, distances[index]))
+    return ordered
+
+
+class NSGA2Search(EvolutionarySearch):
     """NSGA-II: non-dominated sorting + crowding-distance selection."""
 
     name = "nsga2"
-
-    def __init__(
-        self,
-        engine: ExplorationEngine,
-        budget: SearchBudget | None = None,
-        metrics: list[str] | None = None,
-        population: int = 16,
-        offspring: int = 16,
-        mutation_rate: float = 0.3,
-        prune: bool = False,
-        prune_fraction: float = DEFAULT_PRUNE_FRACTION,
-    ) -> None:
-        super().__init__(engine, budget, metrics, prune, prune_fraction)
-        if population <= 1 or offspring <= 0:
-            raise ValueError("population must be > 1 and offspring > 0")
-        if not 0.0 <= mutation_rate <= 1.0:
-            raise ValueError(f"mutation_rate must be in [0, 1], got {mutation_rate}")
-        self.population_size = population
-        self.offspring_size = offspring
-        self.mutation_rate = mutation_rate
 
     # -- selection machinery ------------------------------------------------
 
@@ -149,35 +97,23 @@ class NSGA2Search(SearchStrategy):
     ) -> list[tuple[dict, ExplorationRecord, int, float]]:
         """Members annotated with (rank, crowding), best first.
 
-        Constrained domination: feasible members are layered by
-        :func:`fast_non_dominated_sort` over the chosen metrics; infeasible
-        members (OOM on the trace — their metric vectors are artificially
-        low) always rank behind every feasible layer, ordered by how badly
-        they failed.
+        Constrained domination: feasible members are ordered by
+        :func:`crowded_order` over the chosen metrics; infeasible members
+        always rank behind every feasible layer, in
+        :meth:`~repro.core.search.EvolutionarySearch._failure_order`.
         """
         feasible = [m for m in members if m[1].feasible]
-        infeasible = [m for m in members if not m[1].feasible]
-        annotated: list[tuple[dict, ExplorationRecord, int, float]] = []
-        rank_count = 0
-        if feasible:
-            vectors = [record.metric_vector(self.metrics) for _, record in feasible]
-            fronts = fast_non_dominated_sort(vectors)
-            rank_count = len(fronts)
-            for rank, front in enumerate(fronts):
-                distances = crowding_distance(vectors, front)
-                ordered = sorted(
-                    front, key=lambda index: (-distances[index], index)
-                )
-                for index in ordered:
-                    point, record = feasible[index]
-                    annotated.append((point, record, rank, distances[index]))
-        for position, (point, record) in enumerate(
-            sorted(
-                infeasible,
-                key=lambda m: (m[1].oom_failures, m[1].metric_vector(self.metrics)),
-            )
-        ):
-            annotated.append((point, record, rank_count + position, 0.0))
+        vectors = [record.metric_vector(self.metrics) for _, record in feasible]
+        annotated = [
+            (*feasible[index], layer, crowding)
+            for index, layer, crowding in crowded_order(vectors)
+        ]
+        layers = annotated[-1][2] + 1 if annotated else 0
+        failed = self._failure_order([record for _, record in members])
+        annotated.extend(
+            (record.parameters, record, layers + position, 0.0)
+            for position, record in enumerate(failed)
+        )
         return annotated
 
     def _tournament(
@@ -197,41 +133,9 @@ class NSGA2Search(SearchStrategy):
     # -- the search ---------------------------------------------------------
 
     def _search(self, database: ResultDatabase) -> None:
-        population: list[tuple[dict, ExplorationRecord]] = []
-        known: set[int] = set()
-        stalled = 0
-        # Seed the population with random points, like the plain EA — retry
-        # (bounded by the stall counter) while pruning rejects candidates.
-        while (
-            len(population) < self.population_size
-            and self.budget_left
-            and stalled < self.max_stalled_generations
-        ):
-            used_before = self.evaluations_used
-            seeds = [
-                self._random_point()
-                for _ in range(self.population_size - len(population))
-            ]
-            seeds = self._prune_candidates(seeds)
-            seeds = self._within_budget(seeds)
-            if not seeds:
-                if not self.prune:
-                    break
-                stalled += 1
-                continue
-            records = self._evaluate_batch(seeds, database)
-            for point, record in zip(seeds, records):
-                index = self.engine.space.index_of(point)
-                if index not in known:
-                    known.add(index)
-                    population.append((point, record))
-            stalled = stalled + 1 if self.evaluations_used == used_before else 0
-        while (
-            self.budget_left
-            and len(population) >= 2
-            and stalled < self.max_stalled_generations
-        ):
-            used_before = self.evaluations_used
+        self._seed(self.population_size, database)
+        population = self._members()
+        while self._searching and len(population) >= 2:
             ordered = self._order(population)
             child_points = []
             for _ in range(self.offspring_size):
@@ -241,21 +145,15 @@ class NSGA2Search(SearchStrategy):
                 if self.rng.random() < self.mutation_rate:
                     child = self._mutate(child)
                 child_points.append(child)
-            child_points = self._prune_candidates(child_points)
-            child_points = self._within_budget(child_points)
-            if not child_points:
-                # A fully pruned/duplicate generation still counts against
-                # the stall limit, so a converged search terminates.
-                stalled += 1
+            offspring = self._step(self._prune_candidates(child_points), database)
+            if not offspring:
                 continue
-            child_records = self._evaluate_batch(child_points, database)
             combined = list(population)
             seen = {self.engine.space.index_of(point) for point, _ in population}
-            for point, record in zip(child_points, child_records):
+            for point, record in offspring:
                 index = self.engine.space.index_of(point)
                 if index not in seen:
                     seen.add(index)
                     combined.append((point, record))
             survivors = self._order(combined)[: self.population_size]
             population = [(point, record) for point, record, _, _ in survivors]
-            stalled = stalled + 1 if self.evaluations_used == used_before else 0

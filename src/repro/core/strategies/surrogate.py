@@ -36,7 +36,7 @@ from ..exploration import ExplorationEngine
 from ..results import ExplorationRecord, ResultDatabase
 from ..search import DEFAULT_PRUNE_FRACTION, SearchBudget, SearchStrategy
 from .forest import RandomForest
-from .nsga2 import crowding_distance, fast_non_dominated_sort
+from .nsga2 import crowded_order
 
 #: Fewest feasible observations before the forests are trusted; below this
 #: the strategy keeps sampling uniformly at random.
@@ -123,12 +123,7 @@ class SurrogateSearch(SearchStrategy):
         predicted = [
             tuple(column[i] for column in columns) for i in range(len(pool))
         ]
-        ordered: list[dict] = []
-        for front in fast_non_dominated_sort(predicted):
-            distances = crowding_distance(predicted, front)
-            for index in sorted(front, key=lambda i: (-distances[i], i)):
-                ordered.append(pool[index])
-        return ordered
+        return [pool[index] for index, _, _ in crowded_order(predicted)]
 
     # -- the search ---------------------------------------------------------
 
@@ -137,7 +132,7 @@ class SurrogateSearch(SearchStrategy):
         """Real evaluations per round: the elite fraction of the pool."""
         return max(1, round(self.surrogate_fraction * self.candidates))
 
-    def _draw_pool(self, known: set[int]) -> list[dict]:
+    def _draw_pool(self) -> list[dict]:
         """Up to ``candidates`` distinct unevaluated random points."""
         pool: list[dict] = []
         seen: set[int] = set()
@@ -148,51 +143,23 @@ class SurrogateSearch(SearchStrategy):
                 break
             point = self._random_point()
             index = self.engine.space.index_of(point)
-            if index in known or index in seen:
+            if index in self._evaluated or index in seen:
                 continue
             seen.add(index)
             pool.append(point)
         return pool
 
     def _search(self, database: ResultDatabase) -> None:
-        members: list[tuple[dict, ExplorationRecord]] = []
-        known: set[int] = set()
-        stalled = 0
-
-        def absorb(points: list[dict], records: list[ExplorationRecord]) -> None:
-            for point, record in zip(points, records):
-                index = self.engine.space.index_of(point)
-                if index not in known:
-                    known.add(index)
-                    members.append((point, record))
-
         # Startup: uniform random observations to give the forests a floor.
-        while (
-            len(members) < self.initial
-            and self.budget_left
-            and stalled < self.max_stalled_generations
-        ):
-            used_before = self.evaluations_used
-            seeds = [self._random_point() for _ in range(self.initial - len(members))]
-            seeds = self._prune_candidates(seeds)
-            seeds = self._within_budget(seeds)
-            if not seeds:
-                if not self.prune:
-                    break
-                stalled += 1
-                continue
-            absorb(seeds, self._evaluate_batch(seeds, database))
-            stalled = stalled + 1 if self.evaluations_used == used_before else 0
-
-        while self.budget_left and stalled < self.max_stalled_generations:
-            used_before = self.evaluations_used
-            pool = self._draw_pool(known)
+        self._seed(self.initial, database)
+        while self._searching:
+            pool = self._draw_pool()
             if not pool:
                 break
             # Sound discards first: prefix lower bounds prove infeasibility
             # or dominance before the learned model spends its guesswork.
             pool = self._prune_candidates(pool)
-            forests = self._train(members)
+            forests = self._train(self._members())
             if forests is None:
                 chosen = pool[: self.batch_size]
             else:
@@ -205,7 +172,4 @@ class SurrogateSearch(SearchStrategy):
                     if index not in self._model_rejected:
                         self._model_rejected.add(index)
                         self.surrogate_skips += 1
-            chosen = self._within_budget(chosen)
-            if chosen:
-                absorb(chosen, self._evaluate_batch(chosen, database))
-            stalled = stalled + 1 if self.evaluations_used == used_before else 0
+            self._step(chosen, database)

@@ -121,38 +121,10 @@ class TPESearch(SearchStrategy):
     # -- the search ---------------------------------------------------------
 
     def _search(self, database: ResultDatabase) -> None:
-        members: list[tuple[dict, ExplorationRecord]] = []
-        known: set[int] = set()
-        stalled = 0
-
-        def absorb(points: list[dict], records: list[ExplorationRecord]) -> None:
-            for point, record in zip(points, records):
-                index = self.engine.space.index_of(point)
-                if index not in known:
-                    known.add(index)
-                    members.append((point, record))
-
         # Startup: uniform random observations to seed the two densities.
-        while (
-            len(members) < self.startup
-            and self.budget_left
-            and stalled < self.max_stalled_generations
-        ):
-            used_before = self.evaluations_used
-            seeds = [self._random_point() for _ in range(self.startup - len(members))]
-            seeds = self._prune_candidates(seeds)
-            seeds = self._within_budget(seeds)
-            if not seeds:
-                if not self.prune:
-                    break
-                stalled += 1
-                continue
-            absorb(seeds, self._evaluate_batch(seeds, database))
-            stalled = stalled + 1 if self.evaluations_used == used_before else 0
-
-        while self.budget_left and members and stalled < self.max_stalled_generations:
-            used_before = self.evaluations_used
-            good_points, rest_points = self._split(members)
+        self._seed(self.startup, database)
+        while self._searching:
+            good_points, rest_points = self._split(self._members())
             if not good_points:
                 # Nothing feasible yet: keep sampling uniformly.
                 proposals = [self._random_point() for _ in range(self.batch)]
@@ -171,7 +143,7 @@ class TPESearch(SearchStrategy):
                 proposals, proposed = [], set()
                 for point in pool:
                     index = self.engine.space.index_of(point)
-                    if index in known or index in proposed:
+                    if index in self._evaluated or index in proposed:
                         continue
                     proposed.add(index)
                     proposals.append(point)
@@ -181,8 +153,4 @@ class TPESearch(SearchStrategy):
                     # The model only reproduces known points: fall back to
                     # uniform sampling for one round to regain diversity.
                     proposals = [self._random_point() for _ in range(self.batch)]
-            proposals = self._prune_candidates(proposals)
-            proposals = self._within_budget(proposals)
-            if proposals:
-                absorb(proposals, self._evaluate_batch(proposals, database))
-            stalled = stalled + 1 if self.evaluations_used == used_before else 0
+            self._step(self._prune_candidates(proposals), database)

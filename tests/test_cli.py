@@ -302,6 +302,24 @@ class TestRunCommand:
         assert err.startswith("error:")
         assert "backend" in err
 
+    def test_foreign_file_is_refused_as_a_store(self, tmp_path, capsys):
+        # Neither the binary magic nor a JSON object: not a result store.
+        # Appending to it would corrupt someone else's file.
+        foreign = tmp_path / "X"
+        payload = bytes(range(100))
+        foreign.write_bytes(payload)
+        for argv in (
+            ["explore", "--workload", "uniform", "--space", "smoke", "--seed", "1",
+             "--store", str(foreign), "--out", str(tmp_path / "out.json")],
+            ["store", "info", str(foreign)],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "not a result store" in err and "Traceback" not in err
+            assert foreign.read_bytes() == payload
+        assert not (tmp_path / "out.json").exists()
+
 
 class TestListCommand:
     def test_lists_one_kind(self, capsys):

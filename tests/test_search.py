@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.configuration import AllocatorConfiguration, PoolSpec
 from repro.core.exploration import ExplorationEngine
 from repro.core.pareto import dominates
+from repro.core.results import ExplorationRecord
 from repro.core.search import (
     EvolutionarySearch,
     HillClimbSearch,
@@ -11,6 +13,7 @@ from repro.core.search import (
     SearchBudget,
 )
 from repro.core.space import compact_parameter_space, smoke_parameter_space
+from repro.profiling.metrics import MetricSet
 from repro.workloads.easyport import EasyportWorkload
 from repro.workloads.synthetic import UniformRandomWorkload
 
@@ -98,6 +101,31 @@ class TestEvolutionarySearch:
     def test_invalid_population(self, engine):
         with pytest.raises(ValueError):
             EvolutionarySearch(engine, population=1, offspring=0)
+        with pytest.raises(ValueError, match="mutation_rate"):
+            EvolutionarySearch(engine, mutation_rate=5)
+        with pytest.raises(ValueError, match="mutation_rate"):
+            EvolutionarySearch(engine, mutation_rate=-0.1)
+
+    def test_selection_ranks_infeasible_records_last(self, engine):
+        # An OOM replay stopped at its first failed allocation, so its
+        # metrics look cheap: this one dominates every feasible record, yet
+        # it must not displace any of them.
+        def record(label, value, oom=0):
+            return ExplorationRecord(
+                configuration=AllocatorConfiguration(
+                    pools=[PoolSpec(name="general", kind="general")], label=label
+                ),
+                metrics=MetricSet(
+                    accesses=value, footprint=value, energy_nj=value, cycles=value
+                ),
+                oom_failures=oom,
+            )
+
+        feasible = [record("a", 30), record("b", 20), record("c", 40)]
+        failed = [record("x", 5, oom=3), record("y", 1, oom=1)]
+        search = EvolutionarySearch(engine, population=4, offspring=2)
+        selected = search._select([failed[0], *feasible, failed[1]])
+        assert [r.configuration_id for r in selected] == ["b", "a", "c", "y"]
 
 
 class TestSearchInternals:

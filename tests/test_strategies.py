@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.core.exploration import ExplorationEngine
-from repro.core.pareto import pareto_rank
+from repro.core.pareto import non_dominated, pareto_rank
 from repro.core.search import SearchBudget
 from repro.core.space import compact_parameter_space
 from repro.core.strategies import (
@@ -52,20 +52,29 @@ class TestFastNonDominatedSort:
         assert fronts == [[0, 1], [2]]
 
     def test_property_matches_pareto_rank(self):
-        # Front membership must agree with the reference layering for
-        # arbitrary vector sets (discrete values force plenty of ties).
+        # Each layer must be the batch front of what the earlier layers
+        # leave behind, for arbitrary vector sets (discrete values force
+        # plenty of ties); pareto_rank is the same layering per vector.
         rng = random.Random(11)
         for _ in range(50):
             count = rng.randrange(1, 30)
             vectors = [
                 tuple(rng.randrange(0, 5) for _ in range(3)) for _ in range(count)
             ]
+            peeled, remaining = [], list(range(count))
+            while remaining:
+                front = [
+                    remaining[i]
+                    for i in non_dominated([vectors[index] for index in remaining])
+                ]
+                peeled.append(front)
+                remaining = [index for index in remaining if index not in front]
+            assert fast_non_dominated_sort(vectors) == peeled
             ranks = pareto_rank(vectors)
-            fronts = fast_non_dominated_sort(vectors)
-            by_sort = {
-                index: rank for rank, front in enumerate(fronts) for index in front
-            }
-            assert by_sort == {index: rank for index, rank in enumerate(ranks)}
+            assert ranks == [
+                next(layer for layer, front in enumerate(peeled) if index in front)
+                for index in range(count)
+            ]
 
     def test_every_index_appears_exactly_once(self):
         rng = random.Random(2)
