@@ -83,7 +83,9 @@ verify-stream:
 
 # Store-format verification: the same exploration run against a jsonl and a
 # binary store must produce byte-identical artefacts, cold and warm, across
-# a conversion round trip and across compaction.  CI runs the same flow.
+# a conversion round trip and across compaction; with the final entry of
+# both torn, `store info` must agree and warm artefacts must still match.
+# CI runs the same flow.
 STORE_DIR := .store-demo
 verify-store:
 	rm -rf $(STORE_DIR) && mkdir -p $(STORE_DIR)
@@ -110,7 +112,24 @@ verify-store:
 	  --store $(STORE_DIR)/store.bin --store-format binary \
 	  --out $(STORE_DIR)/binary-compacted.json
 	cmp $(STORE_DIR)/binary-warm.json $(STORE_DIR)/binary-compacted.json
-	@echo "jsonl and binary stores produce byte-identical artefacts, across conversion and compaction"
+	cp $(STORE_DIR)/store.jsonl $(STORE_DIR)/torn.jsonl
+	$(RUN) -m repro store convert $(STORE_DIR)/torn.jsonl \
+	  $(STORE_DIR)/torn.bin --format binary
+	$(RUN) -c 'import os, sys; [os.truncate(p, os.path.getsize(p) - 15) for p in sys.argv[1:]]' \
+	  $(STORE_DIR)/torn.jsonl $(STORE_DIR)/torn.bin
+	for fmt in jsonl bin; do \
+	  $(RUN) -m repro store info $(STORE_DIR)/torn.$$fmt \
+	    | grep -E '^(entries|live|dead|corrupt):' > $(STORE_DIR)/torn-$$fmt.info || exit 1; \
+	done
+	cat $(STORE_DIR)/torn-jsonl.info
+	cmp $(STORE_DIR)/torn-jsonl.info $(STORE_DIR)/torn-bin.info
+	$(RUN) -m repro explore --workload uniform --space smoke --seed 1 \
+	  --store $(STORE_DIR)/torn.jsonl --out $(STORE_DIR)/jsonl-torn.json
+	$(RUN) -m repro explore --workload uniform --space smoke --seed 1 \
+	  --store $(STORE_DIR)/torn.bin --store-format binary \
+	  --out $(STORE_DIR)/binary-torn.json
+	cmp $(STORE_DIR)/jsonl-torn.json $(STORE_DIR)/binary-torn.json
+	@echo "jsonl and binary stores produce byte-identical artefacts, across conversion, compaction and a torn final entry"
 	rm -rf $(STORE_DIR)
 
 # Distributed-story verification: three shard runs, merged, must reproduce

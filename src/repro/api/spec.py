@@ -372,6 +372,12 @@ class ExperimentSpec:
                 reg.check_params(ref.name, ref.params)
             except registry.RegistryError as error:
                 raise SpecError(f"{key}.params: {error}") from None
+        budget = self.strategy.params.get("budget", 1)
+        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+            raise SpecError(
+                "strategy.params.budget: expected a positive integer "
+                f"(evaluations), got {budget!r}"
+            )
         if self.energy.name not in ENERGY_MODELS:
             raise SpecError(
                 f"energy.name: unknown energy model '{self.energy.name}' "

@@ -57,6 +57,12 @@ ResultStore.get` of their key.  Because JSON payloads are pure ASCII
 torn bytes resynchronises by scanning to the next marker and letting the
 CRC arbitrate.
 
+Each format has one walker over its units (:meth:`StoreFormat.units`) and
+every reader is built on it, so all readers agree on a damaged file: a
+torn final entry is one corrupt unit to a full read, pending to a refresh
+(it may be a write in flight), and repaired by the next append.  A binary
+header of an unknown revision is refused by every reader, file untouched.
+
 Concurrent writers on one host are safe in both formats: every entry is
 appended as a single ``write()`` on an ``O_APPEND`` descriptor (the kernel
 serialises the positioning) under an advisory ``fcntl`` lock (which
@@ -89,7 +95,7 @@ import mmap
 import os
 import struct
 import zlib
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .parameters import ParameterSpace
@@ -141,30 +147,35 @@ def default_store_path(format: str = "jsonl") -> Path:
 # -- entry payloads (shared by every format) ----------------------------------
 
 
+def _entry_identity(entry: dict) -> tuple[str, str, int]:
+    """The ``(fingerprint, canonical point JSON, metric version)`` of an entry."""
+    return (
+        entry["fingerprint"],
+        canonical_point_json(entry["point"]),
+        int(entry["metric_version"]),
+    )
+
+
 def _entry_from_dict(data: object) -> tuple[tuple[str, str, int], dict] | None:
     """Validate one decoded store entry document.
 
-    Returns ``((fingerprint, canonical point JSON, metric version), entry)``
-    or ``None`` when the document is not a usable entry.  The record payload
-    is validated eagerly so a corrupt entry surfaces where it is read (and
-    is counted), not as a crash mid-exploration.
+    Returns ``(entry identity, entry)`` or ``None`` when the document is not
+    a usable entry.  The record payload is validated eagerly so a corrupt
+    entry surfaces where it is read (and is counted), not as a crash
+    mid-exploration.
     """
     if not isinstance(data, dict):
         return None
     try:
-        fingerprint = data["fingerprint"]
-        point = data["point"]
-        version = int(data["metric_version"])
-        record = data["record"]
+        if not isinstance(data["fingerprint"], str) or not isinstance(
+            data["point"], dict
+        ):
+            return None
+        identity = _entry_identity(data)
+        ExplorationRecord.from_dict(data["record"])
     except (KeyError, TypeError, ValueError):
         return None
-    if not isinstance(fingerprint, str) or not isinstance(point, dict):
-        return None
-    try:
-        ExplorationRecord.from_dict(record)
-    except (KeyError, TypeError, ValueError):
-        return None
-    return (fingerprint, canonical_point_json(point), version), data
+    return identity, data
 
 
 def _decode_entry(data: bytes | str) -> tuple[tuple[str, str, int], dict] | None:
@@ -189,12 +200,17 @@ def _decode_entry(data: bytes | str) -> tuple[tuple[str, str, int], dict] | None
 class StoreFormat:
     """One on-disk representation of the result store.
 
-    A format owns *framing* only: how serialised entries are laid out in
-    the file, how appended bytes are consumed incrementally, and how the
-    torn tail a crashed writer leaves behind is repaired.  The payload of
-    every format is the same compact JSON entry document — that invariant
-    is what keeps assembled artefacts byte-identical across formats, and
-    what makes conversion between formats a pure re-framing.
+    A format owns *framing* only: its file header and how serialised
+    entries are laid out after it.  :meth:`units` is the format's one
+    walker over those units, and every reader is built on it — store open
+    and refresh directly, ``store info``, compaction, conversion and the
+    streaming report through :meth:`scan` — so all of them agree on what a
+    damaged file holds.  A full read counts a trailing partial unit (a
+    crash mid-append) as exactly one corrupt unit; a refresh leaves it
+    pending and uncounted; the next append repairs it (:attr:`repair`).
+    The payload of every format is the same compact JSON entry document —
+    that invariant is what keeps assembled artefacts byte-identical across
+    formats, and what makes conversion between formats a pure re-framing.
     """
 
     #: Registry name of the format (``jsonl`` / ``binary``).
@@ -214,33 +230,49 @@ class StoreFormat:
         """Serialise one full entry document into its on-disk framing."""
         raise NotImplementedError
 
-    def consume(
-        self,
-        buffer: bytes | mmap.mmap,
-        start: int,
-        final: bool,
-        on_entry: Callable[[object, object], None],
-    ) -> tuple[int, int, bool]:
-        """Incrementally parse entries from ``buffer[start:]``.
+    def check_header(self, head: bytes, path: str | Path) -> None:
+        """Raise :class:`StoreError` naming ``path`` for an unreadable header.
 
-        Calls ``on_entry(key, value)`` per usable entry — ``value`` is the
-        record payload dict (jsonl) or a :class:`_FrameRef` to be parsed
-        lazily (binary), with offsets local to ``buffer``.  ``final`` marks
-        a full-file load, where an unterminated-but-parseable tail may be
-        consumed; a non-final refresh never consumes past the last complete
-        unit.  Returns ``(bytes consumed, corrupt units, tail pending)``.
+        ``head`` starts a non-empty file; headerless formats accept any.
+        """
+
+    def units(
+        self, buffer: bytes | mmap.mmap, start: int, final: bool
+    ) -> Iterator[tuple[int, int, int, object, dict | None]]:
+        """Walk the framed units of ``buffer[start:]``.
+
+        Yields ``(end, offset, length, key, entry)`` per unit: ``end`` is
+        where reading resumes after the unit, ``offset``/``length`` locate
+        its payload in ``buffer``, ``key`` is its :meth:`entry_key`
+        (``None`` for a corrupt unit) and ``entry`` the parsed entry
+        document, or ``None`` where the format defers payload parsing.
+        ``final`` marks a full read, which yields a trailing partial unit
+        as one corrupt unit; a non-final read (refresh) stops in front of
+        it, leaving it pending for a later read or the next append's repair.
         """
         raise NotImplementedError
 
-    def scan(self, buffer: bytes) -> Iterator[tuple[int, int, dict | None]]:
-        """Walk every framed unit of a complete store image.
+    def scan(
+        self, buffer: bytes, path: str | Path = "store image"
+    ) -> Iterator[tuple[int, int, dict | None]]:
+        """Walk every unit of a complete store image, parsing each payload.
 
-        Yields ``(payload offset, payload length, entry document)`` with the
-        document fully parsed and validated, or ``None`` for a corrupt unit.
-        This is the compaction / conversion / streaming-report path; unlike
-        :meth:`consume` it materialises each payload (one at a time).
+        Yields ``(payload offset, payload length, entry document)``, the
+        document ``None`` for a corrupt unit.  This is the compaction /
+        conversion / info / streaming-report path: unlike a store open it
+        materialises each payload (one at a time).  A header this build
+        cannot read raises :class:`StoreError` naming ``path``.
         """
-        raise NotImplementedError
+        if not buffer:
+            return
+        self.check_header(buffer, path)
+        for _end, offset, length, key, entry in self.units(
+            buffer, len(self.header), True
+        ):
+            if key is not None and entry is None:
+                decoded = _decode_entry(buffer[offset : offset + length])
+                entry = decoded[1] if decoded else None
+            yield offset, length, entry
 
 
 class JsonlStoreFormat(StoreFormat):
@@ -261,49 +293,27 @@ class JsonlStoreFormat(StoreFormat):
         # canonical_point_json, which sorts).
         return (json.dumps(entry, separators=(",", ":")) + "\n").encode("utf-8")
 
-    def consume(self, buffer, start, final, on_entry):
-        data = buffer[start:]
-        if final:
-            # A writer that died mid-append leaves a trailing line without a
-            # newline; if that line parses it is a complete entry, otherwise
-            # it is counted corrupt like any other bad line.  Either way the
-            # next append must start on a fresh line.
-            complete = data
-            consumed = len(data)
-            tail_pending = bool(data) and not data.endswith(b"\n")
-        else:
-            # Only newline-terminated lines are consumed; the offset never
-            # advances past an unterminated tail, which is either still
-            # being written (complete on the next refresh) or permanently
-            # torn (the next writer starts a fresh line, turning it into a
-            # complete, corrupt, skipped line).
-            complete, newline, tail = data.rpartition(b"\n")
-            if not newline:
-                return 0, 0, bool(data)
-            consumed = len(complete) + 1
-            tail_pending = bool(tail)
-        corrupt = 0
-        for line in complete.decode("utf-8", errors="replace").splitlines():
-            if not line.strip():
-                continue
-            decoded = _decode_entry(line)
-            if decoded is None:
-                corrupt += 1
-                continue
-            (fingerprint, point_json, version), entry = decoded
-            on_entry((fingerprint, point_json, version), entry["record"])
-        return consumed, corrupt, tail_pending
-
-    def scan(self, buffer):
-        offset = 0
-        for raw in bytes(buffer).splitlines(keepends=True):
-            line_offset = offset
-            offset += len(raw)
+    def units(self, buffer, start, final):
+        data = bytes(buffer[start:])
+        if not final:
+            # A refresh reads only newline-terminated lines: an unterminated
+            # tail is either still being written (complete on the next
+            # refresh) or permanently torn (the next writer starts a fresh
+            # line, turning it into a complete, corrupt, skipped line).  A
+            # full read takes it too: an entry when it parses, one corrupt
+            # unit otherwise.
+            data = data[: data.rfind(b"\n") + 1]
+        end = start
+        for raw in data.splitlines(keepends=True):
+            offset, end = end, end + len(raw)
             line = raw.rstrip(b"\r\n")
             if not line.strip():
                 continue
             decoded = _decode_entry(line.decode("utf-8", errors="replace"))
-            yield line_offset, len(line), decoded[1] if decoded else None
+            if decoded is None:
+                yield end, offset, len(line), None, None
+            else:
+                yield end, offset, len(line), *decoded
 
 
 #: Magic prefix identifying a binary store file.
@@ -354,72 +364,44 @@ class BinaryStoreFormat(StoreFormat):
 
     def encode_entry(self, entry: dict) -> bytes:
         payload = json.dumps(entry, separators=(",", ":")).encode("utf-8")
-        digest = _key_digest(
-            entry["fingerprint"],
-            canonical_point_json(entry["point"]),
-            int(entry["metric_version"]),
-        )
+        digest = _key_digest(*_entry_identity(entry))
         head = _FRAME.pack(_FRAME_MARKER, len(payload), zlib.crc32(payload), digest)
         return head + payload
 
-    def consume(self, buffer, start, final, on_entry):
+    def check_header(self, head, path):
+        if len(head) < len(self.header) or not head.startswith(_BINARY_MAGIC):
+            raise StoreError(f"store file {path} has a malformed binary header")
+        revision = struct.unpack_from("<I", head, len(_BINARY_MAGIC))[0]
+        if revision != _BINARY_VERSION:
+            raise StoreError(
+                f"store file {path} uses binary format revision {revision}; "
+                f"this build reads revision {_BINARY_VERSION}"
+            )
+
+    def units(self, buffer, start, final):
         end = len(buffer)
         pos = start
-        corrupt = 0
         while pos + _FRAME.size <= end:
             marker, length, crc, digest = _FRAME.unpack_from(buffer, pos)
-            if marker != _FRAME_MARKER or length > _MAX_PAYLOAD:
-                # Torn bytes: resynchronise at the next marker and let the
-                # CRC arbitrate.  No marker ahead means the tail is either
-                # all torn or still being written — leave it pending (an
-                # appender repairs a permanent torn tail by truncation).
-                resync = buffer.find(_FRAME_MARKER, pos + 1, end)
-                if resync < 0:
-                    break
-                corrupt += 1
-                pos = resync
-                continue
-            payload_end = pos + _FRAME.size + length
-            if payload_end > end:
-                break  # incomplete frame: wait for the writer to finish
-            payload = bytes(buffer[pos + _FRAME.size : payload_end])
-            if zlib.crc32(payload) != crc:
-                corrupt += 1
-                resync = buffer.find(_FRAME_MARKER, pos + 1, end)
-                if resync < 0:
-                    break
-                pos = resync
-                continue
-            on_entry(bytes(digest), _FrameRef(pos + _FRAME.size, length))
-            pos = payload_end
-        return pos - start, corrupt, pos < end
-
-    def scan(self, buffer):
-        buffer = bytes(buffer)
-        end = len(buffer)
-        if end == 0:
-            return
-        if end < len(self.header) or buffer[: len(_BINARY_MAGIC)] != _BINARY_MAGIC:
-            raise StoreError("not a binary result store (bad or missing magic)")
-        pos = len(self.header)
-        while pos + _FRAME.size <= end:
-            marker, length, crc, _digest = _FRAME.unpack_from(buffer, pos)
-            bad_header = marker != _FRAME_MARKER or length > _MAX_PAYLOAD
-            payload_end = pos + _FRAME.size + length
-            if not bad_header and payload_end > end:
-                yield pos, 0, None  # torn tail frame
-                return
-            if bad_header or zlib.crc32(buffer[pos + _FRAME.size : payload_end]) != crc:
-                yield pos, 0, None
-                resync = buffer.find(_FRAME_MARKER, pos + 1, end)
-                if resync < 0:
-                    return
-                pos = resync
-                continue
-            payload = buffer[pos + _FRAME.size : payload_end]
-            decoded = _decode_entry(payload)
-            yield pos + _FRAME.size, length, decoded[1] if decoded else None
-            pos = payload_end
+            payload = pos + _FRAME.size
+            if marker == _FRAME_MARKER and length <= _MAX_PAYLOAD:
+                if payload + length > end:
+                    break  # torn frame, or one still being written
+                if zlib.crc32(buffer[payload : payload + length]) == crc:
+                    yield payload + length, payload, length, digest, None
+                    pos = payload + length
+                    continue
+            # Torn or damaged bytes: resynchronise at the next marker and
+            # let the CRC arbitrate.  No marker ahead makes them the tail.
+            resync = buffer.find(_FRAME_MARKER, pos + 1, end)
+            if resync < 0:
+                break
+            yield resync, pos, 0, None, None
+            pos = resync
+        if final and pos < end:
+            # The trailing partial unit: reading resumes at its start, which
+            # is where the next append truncates the file (see _append).
+            yield pos, pos, 0, None, None
 
 
 #: The format registry the ``repro.api`` store registry builds on.
@@ -461,19 +443,6 @@ def detect_format(path: str | Path) -> str | None:
         f"{path} is not a result store (it starts with neither the binary "
         "magic nor a JSON object)"
     )
-
-
-def _fsync_directory(directory: Path) -> None:
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without directory fds
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - best effort
-        pass
-    finally:
-        os.close(fd)
 
 
 class ResultStore:
@@ -529,23 +498,10 @@ class ResultStore:
         self.auto_compact = auto_compact
         self.hits = 0
         self.misses = 0
-        self.loaded = 0
-        self.corrupt_entries = 0
-        self.dead_entries = 0
         self.bytes_consumed = 0
-        self._entries: dict[object, object] = {}
         self._fd: int | None = None
         self._read_fd: int | None = None
-        self._needs_leading_newline = False
-        # How far into the file the entries have been read; refresh() picks
-        # up appends from concurrent writers beyond this offset.
-        self._read_offset = 0
-        # Inode the offsets describe; compaction replaces the file, and a
-        # changed inode tells refresh() to re-consume from the top.
-        self._ino: int | None = None
-        # (clean end, observed size) of a torn binary tail awaiting
-        # truncation by the next append (see _append).
-        self._pending_repair: tuple[int, int] | None = None
+        self._reset_index()
         if self.path.exists() and self.path.is_dir():
             raise StoreError(f"store path {self.path} is a directory")
         detected = detect_format(self.path)
@@ -586,6 +542,25 @@ class ResultStore:
             return 0
         return self._consume_tail(final=False)
 
+    def _reset_index(self) -> None:
+        """Forget everything read from the file: entries, load counters, offsets."""
+        self._entries: dict[object, object] = {}
+        self.loaded = 0
+        self.corrupt_entries = 0
+        self.dead_entries = 0
+        # How far into the file the entries have been read; refresh() picks
+        # up appends from concurrent writers beyond this offset.
+        self._read_offset = 0
+        # Inode the offsets describe; compaction replaces the file, and a
+        # changed inode tells refresh() to re-consume from the top.
+        self._ino: int | None = None
+        # A torn jsonl tail the next append must start a fresh line after.
+        self._needs_leading_newline = False
+        # (clean end, observed size) of a torn binary tail awaiting
+        # truncation by the next append (see _append).
+        self._pending_repair: tuple[int, int] | None = None
+        self._close_read_fd()
+
     def _consume_tail(self, final: bool) -> int:
         try:
             stat = os.stat(self.path)
@@ -599,19 +574,10 @@ class ResultStore:
             # frame reference — describe the old inode.  Drop the index and
             # its load counters and consume the replacement from its top;
             # compaction preserves the live set, so nothing is lost.
-            self._ino = None
-            self._read_offset = 0
-            self._needs_leading_newline = False
-            self._pending_repair = None
-            self._close_read_fd()
-            self._entries.clear()
-            self.loaded = 0
-            self.dead_entries = 0
-            self.corrupt_entries = 0
+            self._reset_index()
         if stat.st_size == 0:
             self._ino = stat.st_ino
             return 0
-        fresh = 0
         try:
             handle = open(self.path, "rb")
         except FileNotFoundError:  # pragma: no cover - deleted under us
@@ -625,52 +591,43 @@ class ResultStore:
                 self._read_fd = os.dup(handle.fileno())
             header = self._format.header
             if header and self._read_offset < len(header):
-                head = handle.read(len(header))
-                if (
-                    len(head) < len(header)
-                    or head[: len(_BINARY_MAGIC)] != _BINARY_MAGIC
-                ):
-                    raise StoreError(
-                        f"store file {self.path} has a malformed "
-                        f"{self.format} header"
-                    )
-                version = struct.unpack_from("<I", head, len(_BINARY_MAGIC))[0]
-                if version != _BINARY_VERSION:
-                    raise StoreError(
-                        f"store file {self.path} uses {self.format} format "
-                        f"revision {version}; this build reads revision "
-                        f"{_BINARY_VERSION}"
-                    )
+                self._format.check_header(handle.read(len(header)), self.path)
                 self._read_offset = len(header)
             buffer, start, base = self._read_unconsumed(handle)
-        if len(buffer) <= start:
+        unread = len(buffer) - start
+        if unread <= 0:
             return 0
         delta = base - start
-
-        def on_entry(key: object, value: object) -> None:
-            nonlocal fresh
-            if isinstance(value, _FrameRef):
-                value.offset += delta
-            if key in self._entries:
-                self.dead_entries += 1
-            self._entries[key] = value
-            self.loaded += 1
-            fresh += 1
-
+        end = start
+        fresh = 0
         try:
-            consumed, corrupt, tail_pending = self._format.consume(
-                buffer, start, final, on_entry
-            )
+            for end, offset, length, key, entry in self._format.units(
+                buffer, start, final
+            ):
+                if key is None:
+                    self.corrupt_entries += 1
+                    continue
+                if key in self._entries:
+                    self.dead_entries += 1
+                if entry is None:
+                    self._entries[key] = _FrameRef(offset + delta, length)
+                else:
+                    self._entries[key] = entry["record"]
+                fresh += 1
+            last_byte = buffer[-1:]
         finally:
             if isinstance(buffer, mmap.mmap):
                 buffer.close()
-        self.corrupt_entries += corrupt
+        self.loaded += fresh
+        consumed = end - start
         self.bytes_consumed += consumed
         self._read_offset += consumed
         if self._format.repair:
-            self._needs_leading_newline = tail_pending
-        elif tail_pending:
-            self._pending_repair = (self._read_offset, base + (len(buffer) - start))
+            # An unterminated jsonl tail (torn, or a write in flight): the
+            # next append starts a fresh line.
+            self._needs_leading_newline = last_byte != self._format.repair
+        elif consumed < unread:
+            self._pending_repair = (self._read_offset, base + unread)
         else:
             self._pending_repair = None
         return fresh
@@ -698,14 +655,6 @@ class ResultStore:
                 return buffer, self._read_offset, self._read_offset
         handle.seek(self._read_offset)
         return handle.read(), 0, self._read_offset
-
-    @staticmethod
-    def _parse_entry(line: str) -> tuple[tuple[str, str, int], dict] | None:
-        decoded = _decode_entry(line)
-        if decoded is None:
-            return None
-        key, entry = decoded
-        return key, entry["record"]
 
     # -- queries -----------------------------------------------------------
 
@@ -904,15 +853,7 @@ class ResultStore:
         ``misses`` keep accumulating.  Returns the compaction stats.
         """
         stats = compact_store(self.path, format=self.format)
-        self._entries.clear()
-        self.loaded = 0
-        self.corrupt_entries = 0
-        self.dead_entries = 0
-        self._read_offset = 0
-        self._ino = None
-        self._needs_leading_newline = False
-        self._pending_repair = None
-        self._close_read_fd()
+        self._reset_index()
         self._load()
         return stats
 
@@ -966,6 +907,39 @@ def _lock_path_exclusive(path: Path) -> int:
         os.close(fd)
 
 
+def _store_file(
+    path: str | Path, format: str | None = None
+) -> tuple[Path, StoreFormat]:
+    """``path`` as an existing store file, with its given or sniffed format."""
+    path = Path(path)
+    if not path.exists() or path.is_dir():
+        raise StoreError(f"no result store at {path}")
+    return path, _lookup_format(format or detect_format(path) or "jsonl")
+
+
+def _write_replace(path: Path, image: bytes, tag: str) -> None:
+    """Write ``image`` aside, fsync it and atomically move it onto ``path``."""
+    tmp = path.with_name(f"{path.name}.{tag}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(image)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    try:
+        fd = os.open(path.parent, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform without directory fds
+        return
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover - best effort
+        pass
+    finally:
+        os.close(fd)
+
+
 def compact_store(
     path: str | Path,
     format: str | None = None,
@@ -992,44 +966,27 @@ def compact_store(
     (``entries``, ``live``, ``dead``, ``corrupt``, ``bytes_before``,
     ``bytes_after``, ``format``).
     """
-    path = Path(path)
-    if not path.exists() or path.is_dir():
-        raise StoreError(f"no result store at {path}")
-    source = _lookup_format(format or detect_format(path) or "jsonl")
+    path, source = _store_file(path, format)
     target = _lookup_format(output_format) if output_format else source
     fd = _lock_path_exclusive(path)
     try:
         raw = path.read_bytes()
         live: dict[tuple[str, str, int], dict] = {}
         entries = corrupt = 0
-        for _offset, _length, entry in source.scan(raw):
+        for _offset, _length, entry in source.scan(raw, path):
             if entry is None:
                 corrupt += 1
                 continue
             entries += 1
-            key = (
-                entry["fingerprint"],
-                canonical_point_json(entry["point"]),
-                int(entry["metric_version"]),
-            )
             # Last write wins; dict update keeps first-occurrence order, so
             # the compacted file streams in the same order as the original
             # (StoreRecordSource pins re-recorded points to their first
             # position for exactly this reason).
-            live[key] = entry
+            live[_entry_identity(entry)] = entry
         image = bytearray(target.header)
         for entry in live.values():
             image += target.encode_entry(entry)
-        tmp = path.with_name(f"{path.name}.compact.{os.getpid()}.tmp")
-        try:
-            with open(tmp, "wb") as handle:
-                handle.write(image)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-        _fsync_directory(path.parent)
+        _write_replace(path, image, "compact")
     finally:
         if fcntl is not None:
             fcntl.flock(fd, fcntl.LOCK_UN)
@@ -1058,10 +1015,8 @@ def convert_store(
     lock, so it is consistent with concurrent appenders; the destination is
     written aside and atomically moved into place.  Returns a stats dict.
     """
-    source = Path(source)
+    source, source_format = _store_file(source)
     destination = Path(destination)
-    if not source.exists() or source.is_dir():
-        raise StoreError(f"no result store at {source}")
     if source.resolve() == destination.resolve():
         raise StoreError(
             "convert_store cannot rewrite a store onto itself "
@@ -1069,7 +1024,6 @@ def convert_store(
             "to re-encode in place)"
         )
     target = _lookup_format(format)
-    source_format = _lookup_format(detect_format(source) or "jsonl")
     fd = os.open(source, os.O_RDONLY)
     try:
         if fcntl is not None:
@@ -1081,22 +1035,14 @@ def convert_store(
         os.close(fd)
     entries = corrupt = 0
     image = bytearray(target.header)
-    for _offset, _length, entry in source_format.scan(raw):
+    for _offset, _length, entry in source_format.scan(raw, source):
         if entry is None:
             corrupt += 1
             continue
         entries += 1
         image += target.encode_entry(entry)
     destination.parent.mkdir(parents=True, exist_ok=True)
-    tmp = destination.with_name(f"{destination.name}.convert.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(image)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, destination)
-    finally:
-        tmp.unlink(missing_ok=True)
+    _write_replace(destination, image, "convert")
     return {
         "source": str(source),
         "path": str(destination),
@@ -1116,29 +1062,19 @@ def store_info(path: str | Path) -> dict:
     validation, never retained), so it is safe on stores far larger than
     memory would like to hold as records.
     """
-    path = Path(path)
-    if not path.exists() or path.is_dir():
-        raise StoreError(f"no result store at {path}")
-    name = detect_format(path) or "jsonl"
-    fmt = _lookup_format(name)
+    path, fmt = _store_file(path)
     raw = path.read_bytes()
     seen: set[tuple[str, str, int]] = set()
     entries = corrupt = 0
-    for _offset, _length, entry in fmt.scan(raw):
+    for _offset, _length, entry in fmt.scan(raw, path):
         if entry is None:
             corrupt += 1
             continue
         entries += 1
-        seen.add(
-            (
-                entry["fingerprint"],
-                canonical_point_json(entry["point"]),
-                int(entry["metric_version"]),
-            )
-        )
+        seen.add(_entry_identity(entry))
     return {
         "path": str(path),
-        "format": name,
+        "format": fmt.name,
         "size_bytes": len(raw),
         "entries": entries,
         "live": len(seen),
@@ -1197,15 +1133,12 @@ class StoreRecordSource:
         if self.path.exists():
             raw = self.path.read_bytes()
             position = 0
-            for offset, length, entry in store_format.scan(raw):
+            for offset, length, entry in store_format.scan(raw, self.path):
                 if entry is None:
                     self.corrupt_entries += 1
                     continue
-                point_json = canonical_point_json(entry["point"])
-                if (
-                    entry["fingerprint"] != fingerprint
-                    or int(entry["metric_version"]) != metric_version
-                ):
+                owner, point_json, version = _entry_identity(entry)
+                if owner != fingerprint or version != metric_version:
                     self.foreign_entries += 1
                     continue
                 if space is not None:

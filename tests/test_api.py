@@ -108,6 +108,13 @@ class TestSpecValidation:
                 backend=ComponentRef("process", {"share_trace": False})
             ).validate()
 
+    @pytest.mark.parametrize("budget", [0, -1, True, "8", None])
+    def test_budget_must_be_a_positive_integer(self, budget):
+        with pytest.raises(SpecError, match="strategy.params.budget"):
+            small_spec(
+                strategy=ComponentRef("random", {"budget": budget})
+            ).validate()
+
     def test_bad_params_type_names_the_key(self):
         with pytest.raises(SpecError, match="strategy.params"):
             ExperimentSpec.from_dict(

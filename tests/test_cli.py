@@ -280,6 +280,29 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "bugdet" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_non_positive_budget_is_refused_at_validation(
+        self, tmp_path, capsys, budget
+    ):
+        spec_path = self.spec_file(tmp_path, strategy={"name": "random"})
+        code = main(
+            ["run", str(spec_path), "--set", f"strategy.params.budget={budget}",
+             "--dry-run"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: strategy.params.budget:")
+        assert err.count("\n") == 1
+        code = main(
+            ["explore", "--workload", "uniform", "--space", "smoke", "--strategy",
+             "random", "--budget", budget, "--out", str(tmp_path / "out.json")]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: strategy.params.budget:")
+        assert captured.out == ""  # refused before the banner
+        assert not (tmp_path / "out.json").exists()
+
     def test_spec_unwritable_out_is_a_clean_error(self, tmp_path, capsys):
         code = main(["spec", "--out", str(tmp_path / "no-such-dir" / "exp.json")])
         assert code == 2

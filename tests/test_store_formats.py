@@ -141,6 +141,129 @@ def _frame_offsets(raw):
     ]
 
 
+def _damage(path, fmt, damage):
+    """Damage a clean store file the way crashes and bad disks do."""
+    raw = path.read_bytes()
+    if fmt == "jsonl":
+        units = raw.splitlines(keepends=True)
+    else:
+        units = [raw[at - 42 : at + length] for at, length, _ in _frame_offsets(raw)]
+    if damage == "truncated last unit":
+        path.write_bytes(raw[:-15])
+    elif damage == "short torn tail":
+        # A writer killed mid-append: the first 30 bytes of a further unit,
+        # shorter than a 42-byte binary frame header.
+        path.write_bytes(raw + units[-1][:30])
+    elif damage == "mid-file garbage":
+        cut = len(raw) - sum(len(unit) for unit in units[2:])
+        garbage = b"garbage in the middle" + (b"\n" if fmt == "jsonl" else b"")
+        path.write_bytes(raw[:cut] + garbage + raw[cut:])
+
+
+class TestReadersAgree:
+    """Every reader of a store file reports the same live and corrupt counts."""
+
+    EXPECTED = {  # damage -> (live entries, corrupt units)
+        "clean": (4, 0),
+        "truncated last unit": (3, 1),
+        "short torn tail": (4, 1),
+        "mid-file garbage": (4, 1),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(EXPECTED))
+    @pytest.mark.parametrize("fmt", ["jsonl", "binary", "binary-mapped"])
+    def test_open_info_stream_and_compact_agree(
+        self, tmp_path, records, fmt, damage, monkeypatch
+    ):
+        if fmt == "binary-mapped":  # open through the large-store mmap walk
+            monkeypatch.setattr("repro.core.store._MMAP_THRESHOLD", 0)
+            fmt = "binary"
+        path = tmp_path / f"store.{fmt}"
+        with ResultStore(path, format=fmt) as store:
+            fill(store, records)
+        _damage(path, fmt, damage)
+        with ResultStore(path) as store:
+            opened = (len(store), store.corrupt_entries)
+        info = store_info(path)
+        source = StoreRecordSource(path, "fp")
+        streamed = (len(source), source.corrupt_entries)
+        stats = compact_store(path)
+        assert opened == self.EXPECTED[damage]
+        assert (info["live"], info["corrupt"]) == opened
+        assert streamed == opened
+        assert (stats["live"], stats["corrupt"]) == opened
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "binary"])
+    def test_refresh_leaves_a_torn_tail_pending_and_uncounted(
+        self, tmp_path, records, fmt
+    ):
+        path = tmp_path / f"store.{fmt}"
+        writer = ResultStore(path, format=fmt)
+        reader = ResultStore(path, format=fmt)
+        fill(writer, records[:3])
+        _damage(path, fmt, "short torn tail")
+        reader.refresh()
+        assert (len(reader), reader.corrupt_entries) == (3, 0)
+        # A full read counts the tail once; the next append repairs it.
+        reopened = ResultStore(path)
+        assert (len(reopened), reopened.corrupt_entries) == (3, 1)
+        reopened.put("fp", {"i": 3}, records[3])
+        reopened.refresh()
+        assert (len(reopened), reopened.corrupt_entries) == (4, 1)
+        reopened.close()
+        writer.close()
+        reader.close()
+        healed = store_info(path)
+        assert healed["live"] == 4
+        assert healed["corrupt"] == (1 if fmt == "jsonl" else 0)
+
+
+class TestFutureBinaryRevision:
+    """A binary store from a newer build is refused by every reader, untouched."""
+
+    @pytest.fixture
+    def future_store(self, tmp_path, records):
+        path = tmp_path / "future.bin"
+        with ResultStore(path, format="binary") as store:
+            fill(store, records)
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = (2).to_bytes(4, "little")  # the header's format revision
+        path.write_bytes(bytes(raw))
+        return path, bytes(raw)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            ResultStore,
+            store_info,
+            compact_store,
+            lambda path: convert_store(path, path.with_suffix(".jsonl"), "jsonl"),
+            lambda path: StoreRecordSource(path, "fp"),
+        ],
+        ids=["open", "info", "compact", "convert", "stream"],
+    )
+    def test_every_reader_refuses_it(self, future_store, read):
+        path, raw = future_store
+        with pytest.raises(StoreError, match="revision 2") as error:
+            read(path)
+        assert str(path) in str(error.value)
+        assert path.read_bytes() == raw
+        assert not path.with_suffix(".jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["info", "compact"])
+    def test_store_commands_exit_2_and_leave_it_untouched(
+        self, future_store, command, capsys
+    ):
+        from repro.cli import main
+
+        path, raw = future_store
+        assert main(["store", command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "revision 2" in err
+        assert path.read_bytes() == raw
+
+
 class TestIncrementalRefresh:
     @pytest.mark.parametrize("fmt", ["jsonl", "binary"])
     def test_refresh_consumes_only_appended_bytes(self, tmp_path, records, fmt):
