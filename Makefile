@@ -64,6 +64,13 @@ bench-search:
 bench-search-full:
 	BENCH_SEARCH_FULL=1 $(RUN) -m pytest benchmarks/test_search_quality.py -q -s
 
+# Compare two benchmark results metric by metric: two perfbench results
+# (perfbench/out/results/*.json) or two BENCH_*.json ledgers.  Flags every
+# end-to-end metric that moved past its BENCHMARK.json bound, e.g.
+#   make bench-diff OLD=parent-sweep.json NEW=change-sweep.json
+bench-diff:
+	$(RUN) benchmarks/bench_diff.py $(OLD) $(NEW)
+
 # Streaming verification: the segmented replay and the windowed analysis
 # must be byte-identical to the one-shot batch path (the property tests),
 # and a CLI `dmexplore windows` artefact must carry the same records as
@@ -183,4 +190,4 @@ verify-spec:
 	@echo "spec-driven runs reproduce the flag invocations byte-identically"
 	rm -rf $(SPEC_DIR)
 
-.PHONY: verify bench bench-eval bench-eval-full bench-store bench-store-full bench-stream bench-stream-full bench-search bench-search-full verify-docs verify-bench verify-shards verify-cluster verify-spec verify-store verify-stream
+.PHONY: verify bench bench-diff bench-eval bench-eval-full bench-store bench-store-full bench-stream bench-stream-full bench-search bench-search-full verify-docs verify-bench verify-shards verify-cluster verify-spec verify-store verify-stream

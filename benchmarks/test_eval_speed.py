@@ -15,7 +15,9 @@ across the three generations that exist in this repository:
 * **batched** — the batch replay engine
   (:class:`repro.profiling.batch.BatchReplayEngine`), which amortises one
   trace sweep across every configuration of an exhaustive sweep by sharing
-  pool-group simulations.
+  pool-group simulations;
+* **batched_spill** — the same sweep on a starved hierarchy, where dedicated
+  pools spill to the general pool and the general pool runs out of memory.
 
 All generations must produce byte-identical metrics; the headline targets
 are **fast ≥ 5× seed** on the replay microbenchmark and **batched ≥ 10×
@@ -23,7 +25,8 @@ single fast** per point on the exhaustive compact-space sweep.  Full and
 dedicated runs write ``BENCH_eval.json`` in the repository root — the
 baseline future performance PRs are measured against; quick runs write the
 git-ignored ``BENCH_eval.quick.json``, whose ``batched.identical_metrics``
-flag the CI bench-smoke job asserts before uploading it as an artifact.
+flag (and ``batched_spill``'s identity flag and zero fallback count) the CI
+bench-smoke job asserts before uploading it as an artifact.
 
 Sizing: 30 000 Easyport packets (8 000 for the sweep) in dedicated
 benchmark runs (``--benchmark-only``), 12 000 (2 000) in plain test /
@@ -257,6 +260,55 @@ def test_per_point_latency(request):
     assert len(records) == len(items)
 
 
+def _compact_sweep(trace, hierarchy):
+    """Every point of the compact space as a configuration for ``trace``."""
+    hot_sizes = trace.hot_sizes(top=8)
+    return [
+        configuration_from_point(
+            point,
+            hot_sizes=hot_sizes,
+            scratchpad_module=hierarchy.fastest.name,
+            main_module=hierarchy.background_module.name,
+            label=f"sweep{index:05d}",
+        )
+        for index, point in enumerate(compact_parameter_space().points())
+    ]
+
+
+def _check_against_oracles(trace, factory, configurations, batched_results):
+    """Time the single fast replay of every point; compare both oracles.
+
+    Returns ``(single_seconds, identical)``: ``identical`` holds when every
+    batched result equals the single fast replay and a sample equals the
+    legacy event loop (~2 orders slower than the batched sweep, so it is
+    sampled to keep the benchmark runnable).
+    """
+
+    def as_bytes(result):
+        return json.dumps(result.as_dict(), sort_keys=True, default=repr)
+
+    start = time.perf_counter()
+    single_results = []
+    for configuration in configurations:
+        built = factory.build(configuration)
+        profiler = Profiler(built.mapping)
+        single_results.append(
+            profiler.run(built.allocator, trace, configuration.configuration_id)
+        )
+    single_seconds = time.perf_counter() - start
+    identical = all(
+        as_bytes(batched) == as_bytes(single)
+        for batched, single in zip(batched_results, single_results)
+    )
+    for index in range(0, len(configurations), max(1, len(configurations) // 8)):
+        configuration = configurations[index]
+        built = factory.build(configuration)
+        profiler = Profiler(built.mapping, options=ProfilerOptions(fast_replay=False))
+        legacy = profiler.run(built.allocator, trace, configuration.configuration_id)
+        identical = identical and as_bytes(batched_results[index]) == as_bytes(legacy)
+    return single_seconds, identical
+
+
 def test_batched_sweep_speedup(benchmark, request):
     """Exhaustive compact-space sweep: batch replay engine vs single fast.
 
@@ -275,21 +327,8 @@ def test_batched_sweep_speedup(benchmark, request):
     events = len(trace)
     hierarchy = embedded_two_level()
     factory = AllocatorFactory(hierarchy)
-    hot_sizes = trace.hot_sizes(top=8)
-    configurations = [
-        configuration_from_point(
-            point,
-            hot_sizes=hot_sizes,
-            scratchpad_module=hierarchy.fastest.name,
-            main_module=hierarchy.background_module.name,
-            label=f"sweep{index:05d}",
-        )
-        for index, point in enumerate(compact_parameter_space().points())
-    ]
+    configurations = _compact_sweep(trace, hierarchy)
     trace.compiled()  # compile once up front, as an exploration would
-
-    def as_bytes(result):
-        return json.dumps(result.as_dict(), sort_keys=True, default=repr)
 
     # Batched sweep (best of N fresh engines: the engine's group caches are
     # the thing under test, so each round starts cold).
@@ -313,28 +352,9 @@ def test_batched_sweep_speedup(benchmark, request):
 
     # Single fast replay over the same sweep (one pass; it has no
     # cross-point state to warm).
-    start = time.perf_counter()
-    single_results = []
-    for configuration in configurations:
-        built = factory.build(configuration)
-        profiler = Profiler(built.mapping)
-        single_results.append(
-            profiler.run(built.allocator, trace, configuration.configuration_id)
-        )
-    single_seconds = time.perf_counter() - start
-
-    identical = all(
-        as_bytes(batched) == as_bytes(single)
-        for batched, single in zip(batched_results, single_results)
+    single_seconds, identical = _check_against_oracles(
+        trace, factory, configurations, batched_results
     )
-    # Legacy event-loop oracle on a sample (it is ~2 orders slower than the
-    # batched sweep, so sampling keeps the benchmark runnable).
-    for index in range(0, len(configurations), max(1, len(configurations) // 8)):
-        configuration = configurations[index]
-        built = factory.build(configuration)
-        profiler = Profiler(built.mapping, options=ProfilerOptions(fast_replay=False))
-        legacy = profiler.run(built.allocator, trace, configuration.configuration_id)
-        identical = identical and as_bytes(batched_results[index]) == as_bytes(legacy)
 
     points = len(configurations)
     speedup = single_seconds / batched_seconds
@@ -378,6 +398,64 @@ def test_batched_sweep_speedup(benchmark, request):
         f"batched sweep is only x{speedup:.2f} over single fast replay "
         f"(target x{floor})"
     )
+
+
+def test_batched_spill_sweep(request):
+    """The compact sweep on a starved hierarchy: spills stay in the kernel.
+
+    A 2 KB scratchpad overflows the dedicated pools mid-trace and a 16 KB
+    main memory starves the general pool, so spilled allocations reach the
+    general stream and some of them run out of memory there too.  Every
+    point must still be served by the batch kernel (``fallback_configurations
+    == 0``, asserted by CI bench-smoke) and match both oracles.
+    """
+    dedicated = (
+        request.config.getoption("--benchmark-only", default=False) or _FULL_ENV
+    )
+    packets = 8_000 if dedicated else 2_000
+    trace = EasyportWorkload(packets=packets).generate(seed=SEED)
+    hierarchy = embedded_two_level(scratchpad_size=2048, main_size=16384)
+    factory = AllocatorFactory(hierarchy)
+    configurations = _compact_sweep(trace, hierarchy)
+    trace.compiled()
+
+    engine = BatchReplayEngine(trace, factory)
+    start = time.perf_counter()
+    batched_results = engine.run_configurations(configurations)
+    batched_seconds = time.perf_counter() - start
+    single_seconds, identical = _check_against_oracles(
+        trace, factory, configurations, batched_results
+    )
+    spilling = sum(1 for group in engine._dedicated_cache.values() if group.spilled)
+    points = len(configurations)
+    _RESULTS["batched_spill"] = {
+        "space": "compact",
+        "hierarchy": "embedded_two_level(scratchpad_size=2048, main_size=16384)",
+        "points": points,
+        "events": len(trace),
+        "batched_s": round(batched_seconds, 3),
+        "single_fast_s": round(single_seconds, 3),
+        "speedup_vs_single_fast": round(single_seconds / batched_seconds, 2),
+        "identical_metrics": identical,
+        "batched_configurations": engine.batched_configurations,
+        "fallback_configurations": engine.fallback_configurations,
+        "spilling_dedicated_groups": spilling,
+    }
+    print_table(
+        "Batched sweep on a starved hierarchy: spills inside the kernel",
+        [
+            ("points x events", f"{points} x {len(trace)}", "-"),
+            ("batched sweep", f"{batched_seconds:.2f} s", "-"),
+            ("single fast sweep", f"{single_seconds:.2f} s", "-"),
+            ("spilling dedicated groups", spilling, "> 0"),
+            ("fallback configurations", engine.fallback_configurations, "0"),
+            ("identical metrics", identical, "required"),
+        ],
+        ("quantity", "measured", "note"),
+    )
+    assert identical
+    assert engine.fallback_configurations == 0
+    assert spilling > 0, "the starved hierarchy never spilled; shrink it"
 
 
 def test_serial_vs_pool_byte_identity_and_throughput(request, tmp_path):

@@ -126,6 +126,14 @@ def _jobs_count(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for window sizes: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _shard_label(text: str) -> str:
     """argparse type for ``--shard``: validates the ``K/N`` form early."""
     from .core.exploration import ShardSpec
@@ -485,14 +493,14 @@ def build_parser() -> argparse.ArgumentParser:
     window_size = windows_parser.add_mutually_exclusive_group()
     window_size.add_argument(
         "--window-events",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="cut the trace into windows of N events (default 1000)",
     )
     window_size.add_argument(
         "--window-time",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="TICKS",
         help="cut the trace into windows of TICKS timestamp ticks",
@@ -693,11 +701,23 @@ def _command_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_merge(args: argparse.Namespace) -> int:
+def _load_artefact(path: Path) -> ResultDatabase | None:
+    """Read a JSON artefact; ``None`` after one ``error:`` line on stderr.
+
+    A missing file, invalid JSON and JSON of the wrong shape (which the
+    record parsers meet as a missing key or a wrongly typed value) all end
+    here, so ``merge``, ``pareto`` and ``report`` fail alike.
+    """
     try:
-        databases = [ResultDatabase.from_json(path) for path in args.inputs]
-    except (OSError, ValueError) as error:
-        print(f"error: cannot load artefact: {error}", file=sys.stderr)
+        return ResultDatabase.from_json(path)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as error:
+        print(f"error: cannot load artefact {path}: {error}", file=sys.stderr)
+        return None
+
+
+def _command_merge(args: argparse.Namespace) -> int:
+    databases = [_load_artefact(path) for path in args.inputs]
+    if None in databases:
         return 2
     try:
         merged = merge_databases(databases)
@@ -715,7 +735,9 @@ def _command_merge(args: argparse.Namespace) -> int:
 
 
 def _command_pareto(args: argparse.Namespace) -> int:
-    database = ResultDatabase.from_json(args.database)
+    database = _load_artefact(args.database)
+    if database is None:
+        return 2
     records = database.pareto_records(args.metrics)
     print(f"{len(records)} Pareto-optimal configurations (of {len(database)}):")
     for record in sorted(records, key=lambda r: r.metrics.accesses):
@@ -735,7 +757,9 @@ def _command_report(args: argparse.Namespace) -> int:
         if database is None:
             return 2
     else:
-        database = ResultDatabase.from_json(args.database)
+        database = _load_artefact(args.database)
+        if database is None:
+            return 2
     print(
         dashboard(
             database,

@@ -23,7 +23,7 @@ Fault behaviour, all inherited from existing machinery rather than added:
   was started from a local experiment file (the coordinator rejects a
   mismatch), and the worker independently refuses to evaluate when its
   resolved engine fingerprint differs from the coordinator's — identical
-  specs on diverged code would silently produce non-reproducible metrics
+  specs on different code would silently produce non-reproducible metrics
   otherwise.
 
 Exit codes (the harness and CI scripts key off these): 0 sweep done, 2

@@ -24,9 +24,9 @@ and the same dedicated-size set share the general pool's entire replay.
   precomputed so the per-event work inside a simulation is pure allocator
   state;
 * each *pool group* — ``(kind, block size, capacity)`` for dedicated pools,
-  ``(size set, policies, chunk)`` for general pools — is simulated once and
-  cached, in struct-of-arrays form for the general kernel (flat
-  address/size columns instead of Block objects);
+  ``(spill set, size set, policies, chunk)`` for general pools — is
+  simulated once and cached, in struct-of-arrays form for the general
+  kernel (flat address/size columns instead of Block objects);
 * general-pool groups are cached **capacity-independently**: a simulation
   whose backing store never grows past ``C`` bytes is byte-identical under
   any capacity ≥ ``C`` (growth is monotone), so one unbounded run serves
@@ -41,17 +41,28 @@ and the same dedicated-size set share the general pool's entire replay.
 
 Byte identity with the single fast replay and the legacy event loop is the
 contract (``tests/test_batch_replay.py`` enforces it across the standard
-spaces).  Configurations the batch kernel cannot express fall back to a
-single replay per configuration:
+spaces).
 
-* a dedicated pool that runs out of capacity mid-trace would *spill* to the
-  general pool from that event on, entangling the two streams — the group
-  is marked diverged and every configuration referencing it takes the
-  single-replay path (:meth:`BatchReplayEngine._run_single`);
-* non-standard pool stacks (anything but strict fixed/slab pools in front
-  of an unbounded general pool), profiler options that observe per-event
-  state (``fail_on_oom``, ``track_footprint_timeline``), traces with live
-  request-id rebinding, and ``fast_replay=False`` all defer likewise.
+A dedicated pool that runs out of capacity *spills*: the composed allocator
+hands the request on to the general pool.  A strict fixed or slab pool that
+hits OOM keeps its state (it only bumps ``failed_allocs``, and a slab pool
+charges its one partial-list read), so a dedicated pool's run still depends
+on its own size stream alone.  Its group simulation continues past each OOM
+and records the refused slot codes; the general pool's stream is then the
+base stream plus those spilled allocations and their frees, in event order,
+and the spill set joins the general group key.
+
+General groups are keyed by *behaviour*, not by spelling
+(:func:`_general_key`): policy tuples that the real
+:class:`~repro.allocator.pool.GeneralPool` replays identically share one
+simulation.
+
+Only what the stream partition cannot express takes a single replay per
+configuration (:meth:`BatchReplayEngine._run_single`): non-standard pool
+stacks (anything but strict fixed/slab pools in front of an unbounded
+general pool), profiler options that observe per-event state
+(``fail_on_oom``, ``track_footprint_timeline``), traces with live
+request-id rebinding, and ``fast_replay=False``.
 
 The general-pool kernel replicates :class:`~repro.allocator.pool
 .GeneralPool` counter-for-counter on flat integers: fit-scan visit counts,
@@ -157,6 +168,9 @@ _SPLIT_CODES = {"never": _SPLIT_NEVER, "always": _SPLIT_ALWAYS, "threshold": _SP
 #: Pool kinds the batch kernel can express in front of the general pool.
 _DEDICATED_KINDS = ("fixed", "slab")
 
+#: Spill set of a dedicated group that never ran out of capacity.
+_NO_SPILLS: frozenset[int] = frozenset()
+
 
 class _StreamInfo:
     """One pool's event stream plus its replay-invariant totals.
@@ -185,7 +199,7 @@ class _GroupResult:
     """Final state of one shared pool-group simulation."""
 
     __slots__ = (
-        "stats", "payload", "dispatch", "oom", "live", "touched", "diverged", "brk"
+        "stats", "payload", "dispatch", "oom", "live", "touched", "spilled", "brk"
     )
 
     def __init__(
@@ -196,7 +210,7 @@ class _GroupResult:
         oom: int = 0,
         live: int = 0,
         touched: bool = False,
-        diverged: bool = False,
+        spilled: frozenset[int] = _NO_SPILLS,
         brk: int = 0,
     ) -> None:
         self.stats = stats
@@ -205,7 +219,9 @@ class _GroupResult:
         self.oom = oom
         self.live = live
         self.touched = touched
-        self.diverged = diverged
+        #: Slot codes a dedicated pool refused for lack of capacity; the
+        #: general pool serves them (and their frees) instead.
+        self.spilled = spilled
         #: Final backing-store break (the address space's high-water mark).
         #: Growth only ever advances it, so a capacity at least this large
         #: can never have altered the run — the capacity-sharing criterion.
@@ -796,6 +812,28 @@ def _simulate_general(
     )
 
 
+def _general_key(dedicated_sizes: frozenset[int], spec) -> tuple:
+    """Spill- and capacity-free key of a general pool group, by behaviour.
+
+    Policy tuples that the real :class:`~repro.allocator.pool.GeneralPool`
+    replays identically share a key, and so one simulation:
+
+    * ``exact_fit`` only takes a block of exactly the needed size, so there
+      is never a remainder; every splitting policy needs ``min_remainder >
+      0``, so the splitting axis is keyed ``never``;
+    * ``best_fit`` on a ``size_ordered`` list returns the first block that
+      fits, with the same visit count (``BestFit.select``'s short-circuit),
+      so it is keyed ``first_fit``.
+    """
+    fit = spec.fit
+    splitting = spec.splitting
+    if fit == "exact_fit":
+        splitting = "never"
+    elif fit == "best_fit" and spec.free_list == "size_ordered":
+        fit = "first_fit"
+    return (dedicated_sizes, spec.free_list, fit, spec.coalescing, splitting, spec.chunk_size)
+
+
 class _ShimPool:
     """Just enough pool surface for :meth:`Profiler._collect`.
 
@@ -837,7 +875,7 @@ class BatchReplayEngine:
         The :class:`~repro.core.factory.AllocatorFactory` used both to
         place pools (:meth:`AllocatorFactory.build_mapping` yields the
         per-pool capacities the kernels enforce) and to build real
-        allocators for fallback single replays.
+        allocators for the configurations the batch kernel cannot express.
     energy_model / options:
         As for :class:`Profiler`; options that observe per-event state
         (``fail_on_oom``, ``track_footprint_timeline``) or disable the fast
@@ -863,8 +901,8 @@ class BatchReplayEngine:
         self.options = options or ProfilerOptions()
         # size -> per-size event stream (slot for ALLOC, ~slot for FREE).
         self._size_streams_cache: dict[int, list[int]] | None = None
-        # dedicated-size set -> the general pool's stream + totals.
-        self._general_streams: dict[frozenset[int], _StreamInfo] = {}
+        # (dedicated-size set, spill set) -> the general pool's stream + totals.
+        self._general_streams: dict[tuple, _StreamInfo] = {}
         # group key -> cached _GroupResult (the (config x pool) matrix).
         # General keys are capacity-free; a (key, capacity) entry exists
         # only for groups that genuinely overflow that capacity.
@@ -909,9 +947,16 @@ class BatchReplayEngine:
             self._size_streams_cache = streams
         return streams
 
-    def _general_stream(self, dedicated_sizes: frozenset[int]) -> _StreamInfo:
-        """Events the general pool sees under ``dedicated_sizes`` (cached)."""
-        info = self._general_streams.get(dedicated_sizes)
+    def _general_stream(
+        self, dedicated_sizes: frozenset[int], spilled: frozenset[int]
+    ) -> _StreamInfo:
+        """Events the general pool sees under ``dedicated_sizes`` (cached).
+
+        That is every event of a size no dedicated pool serves, plus the
+        ``spilled`` allocations (slot codes a dedicated pool refused) and
+        their frees, all in event order.
+        """
+        info = self._general_streams.get((dedicated_sizes, spilled))
         if info is None:
             codes: list[int] = []
             append = codes.append
@@ -924,21 +969,22 @@ class BatchReplayEngine:
             pos_allocs = 0
             size0_allocs = 0
             for index, kind in enumerate(compiled.kinds):
+                slot = slots[index]
                 if kind:
                     size = sizes[index]
-                    if size not in dedicated_sizes:
-                        append(slots[index])
+                    if size not in dedicated_sizes or slot in spilled:
+                        append(slot)
                         if size > 0:
                             payload += size * factor
                             pos_allocs += 1
                         else:
                             size0_allocs += 1
-                else:
-                    slot = slots[index]
-                    if slot >= 0 and slot_sizes[slot] not in dedicated_sizes:
-                        append(~slot)
+                elif slot >= 0 and (
+                    slot_sizes[slot] not in dedicated_sizes or slot in spilled
+                ):
+                    append(~slot)
             info = _StreamInfo(codes, payload, pos_allocs, size0_allocs)
-            self._general_streams[dedicated_sizes] = info
+            self._general_streams[(dedicated_sizes, spilled)] = info
         return info
 
     # -- group simulations -------------------------------------------------
@@ -953,10 +999,10 @@ class BatchReplayEngine:
         break only ever advances, so any placement capacity at least the
         final break would have replayed byte-identically and shares the
         cached result.  Only genuinely overflowing capacities re-run
-        bounded; an :class:`OutOfMemoryError` there means the real run
-        would spill this pool's overflow into the general pool mid-trace —
-        inexpressible as independent streams — so the group is marked
-        diverged and its configurations fall back.
+        bounded.  An :class:`OutOfMemoryError` there is a spill: the pool
+        keeps its state, the refused slot code joins the group's
+        ``spilled`` set and its free is skipped here, because the general
+        pool serves both (and counts their dispatch).
         """
         result = self._dedicated_cache.get(key)
         if result is not None:
@@ -980,32 +1026,33 @@ class BatchReplayEngine:
         factor = self.options.payload_access_factor
         payload = 0.0
         dispatch = 0
-        successes = 0
-        diverged = False
+        spilled: list[int] = []
         address_of: dict[int, int] = {}
         stream = self._size_streams().get(block_size)
         if stream:
             allocate = pool.allocate
             release = pool.free
             for code in stream:
-                dispatch += 1
                 if code >= 0:
                     try:
                         address_of[code] = allocate(block_size)
                     except OutOfMemoryError:
-                        diverged = True
-                        break
+                        spilled.append(code)
+                        continue
                     payload += block_size * factor
-                    successes += 1
                 else:
-                    release(address_of.pop(~code))
+                    address = address_of.pop(~code, None)
+                    if address is None:
+                        continue  # a spilled allocation's free
+                    release(address)
+                dispatch += 1
         result = _GroupResult(
             stats=pool.stats,
             payload=payload,
             dispatch=dispatch,
             live=len(address_of),
-            touched=successes > 0,
-            diverged=diverged,
+            touched=pool.stats.alloc_ops > 0,
+            spilled=frozenset(spilled) if spilled else _NO_SPILLS,
             brk=space.used,
         )
         self._dedicated_cache[key] = result
@@ -1035,7 +1082,7 @@ class BatchReplayEngine:
         return bounded
 
     def _run_general(self, key: tuple, capacity: int | None) -> _GroupResult:
-        dedicated_sizes, free_list, fit, coalescing, splitting, chunk_size = key
+        spilled, dedicated_sizes, free_list, fit, coalescing, splitting, chunk_size = key
         return _simulate_general(
             free_list,
             fit,
@@ -1043,7 +1090,7 @@ class BatchReplayEngine:
             splitting,
             chunk_size,
             capacity,
-            self._general_stream(dedicated_sizes),
+            self._general_stream(dedicated_sizes, spilled),
             self.compiled.slot_sizes,
             self.options.payload_access_factor,
         )
@@ -1053,9 +1100,12 @@ class BatchReplayEngine:
     def _plan(self, configuration: "AllocatorConfiguration"):
         """Group keys (and the mapping) for a batchable configuration.
 
-        Returns ``None`` when the configuration or the profiling options
-        fall outside what the stream partition can express, sending the
-        caller down the single-replay path.
+        Returns ``(mapping, dedicated, general)``: ``dedicated`` lists
+        ``(pool name, group key)`` in pool order, ``general`` is ``(pool
+        name, spill-free group key, capacity)``.  Returns ``None`` when the
+        configuration or the profiling options fall outside what the stream
+        partition can express, sending the caller down the single-replay
+        path.
         """
         options = self.options
         if (
@@ -1085,7 +1135,7 @@ class BatchReplayEngine:
             seen.add(spec.block_size)
         mapping = self.factory.build_mapping(configuration)
         placements = mapping.placements
-        entries: list[tuple[bool, str, tuple, int | None]] = []
+        dedicated: list[tuple[str, tuple]] = []
         for spec in pools[:-1]:
             capacity = placements[spec.name].reserved_bytes
             if spec.kind == "slab":
@@ -1095,28 +1145,19 @@ class BatchReplayEngine:
                 slab_bytes = max(spec.chunk_size, 1024, gross_block_size(spec.block_size) * 4)
             else:
                 slab_bytes = 0  # FixedSizePool ignores the chunk setting
-            entries.append(
-                (True, spec.name, (spec.kind, spec.block_size, slab_bytes, capacity), None)
-            )
-        entries.append(
+            dedicated.append((spec.name, (spec.kind, spec.block_size, slab_bytes, capacity)))
+        return (
+            mapping,
+            dedicated,
             (
-                False,
                 general.name,
-                (
-                    frozenset(seen),
-                    general.free_list,
-                    general.fit,
-                    general.coalescing,
-                    general.splitting,
-                    general.chunk_size,
-                ),
+                _general_key(frozenset(seen), general),
                 placements[general.name].reserved_bytes,
-            )
+            ),
         )
-        return mapping, entries
 
     def _run_single(self, configuration: "AllocatorConfiguration") -> ProfileResult:
-        """Per-configuration fallback: build real pools, single replay."""
+        """Single replay for a configuration :meth:`_plan` cannot express."""
         self.fallback_configurations += 1
         built = self.factory.build(configuration)
         profiler = Profiler(built.mapping, self.energy_model, self.options)
@@ -1127,19 +1168,23 @@ class BatchReplayEngine:
         plan = self._plan(configuration)
         if plan is None:
             return self._run_single(configuration)
-        mapping, entries = plan
+        mapping, dedicated, (general_name, general_key, general_capacity) = plan
+        groups: list[tuple[str, _GroupResult]] = []
+        spilled = _NO_SPILLS
+        for name, key in dedicated:
+            group = self._dedicated_result(key)
+            if group.spilled:
+                spilled = spilled | group.spilled if spilled else group.spilled
+            groups.append((name, group))
+        groups.append(
+            (general_name, self._general_result((spilled,) + general_key, general_capacity))
+        )
         shims: list[_ShimPool] = []
         payload_by_pool: dict[str, float] = {}
         dispatch = 0
         live_blocks = 0
         oom_failures = 0
-        for is_dedicated, name, key, capacity in entries:
-            if is_dedicated:
-                group = self._dedicated_result(key)
-                if group.diverged:
-                    return self._run_single(configuration)
-            else:
-                group = self._general_result(key, capacity)
+        for name, group in groups:
             shims.append(_ShimPool(name, group.stats))
             if group.touched:
                 payload_by_pool[name] = group.payload

@@ -6,15 +6,22 @@ every :class:`~repro.profiling.metrics.ProfileResult` is *exactly* what the
 single fast replay — and through ``tests/test_fast_replay.py``'s own
 contract, the legacy event loop — would have produced.  This file holds the
 kernel to that across every standard space and workload, through the
-exploration engine and both backends, for the mid-trace OOM fallback, and
+exploration engine and both backends, for dedicated pools that spill to the
+general pool on OOM, for policy tuples keyed by behaviour, and
 for the process pool under both transports of its compiled trace: forked
 workers inherit the parent's object, spawned workers unpickle it.
 """
 
+import itertools
 import json
 
 import pytest
 
+from repro.allocator.coalescing import COALESCING_POLICIES
+from repro.allocator.errors import OutOfMemoryError
+from repro.allocator.fit import FIT_POLICIES
+from repro.allocator.freelist import FREE_LIST_POLICIES
+from repro.allocator.splitting import SPLITTING_POLICIES
 from repro.core.configuration import configuration_from_point
 from repro.core.exploration import (
     ExplorationEngine,
@@ -106,11 +113,6 @@ class TestKernelIdentityAcrossPolicies:
         trace = UniformRandomWorkload(operations=400).generate(seed=3)
         hierarchy = embedded_two_level()
         engine = BatchReplayEngine(trace, AllocatorFactory(hierarchy))
-        from repro.allocator.coalescing import COALESCING_POLICIES
-        from repro.allocator.fit import FIT_POLICIES
-        from repro.allocator.freelist import FREE_LIST_POLICIES
-        from repro.allocator.splitting import SPLITTING_POLICIES
-
         count = 0
         for free_list in sorted(FREE_LIST_POLICIES):
             for fit in sorted(FIT_POLICIES):
@@ -134,28 +136,166 @@ class TestKernelIdentityAcrossPolicies:
         assert engine.fallback_configurations == 0
 
 
-class TestOOMFallback:
-    """Dedicated-pool capacity divergence mid-trace → per-config fallback."""
+class TestOOMSpill:
+    """A dedicated pool's OOM spill joins the general stream in the kernel."""
 
-    def test_diverged_groups_fall_back_identically(self):
-        trace = EasyportWorkload(packets=400).generate(seed=7)
-        # Scratchpad small enough that dedicated pools overflow mid-trace
-        # and spill to the general pool — inexpressible for the stream
-        # partition, so those configurations must take the single-replay
-        # path and still match both oracles.
-        hierarchy = embedded_two_level(scratchpad_size=2048, main_size=16384)
+    def check(self, trace, hierarchy, points, tag, legacy=True):
+        """Every point matches the oracles; returns the engine."""
         engine = BatchReplayEngine(trace, AllocatorFactory(hierarchy))
-        space = STANDARD_SPACES["default"]()
-        for index, point in enumerate(space.sample(6, seed=2)):
-            configuration = configuration_of(trace, point, hierarchy, f"o{index}")
+        for index, point in enumerate(points):
+            configuration = configuration_of(trace, point, hierarchy, f"{tag}{index}")
             batch = engine.run_configuration(configuration)
             fast = single_replay(trace, configuration, hierarchy)
-            legacy = single_replay(trace, configuration, hierarchy, fast=False)
-            assert result_bytes(batch) == result_bytes(fast)
-            assert result_bytes(batch) == result_bytes(legacy)
-        assert engine.fallback_configurations > 0, (
-            "OOM divergence never triggered; shrink the hierarchy"
+            assert result_bytes(batch) == result_bytes(fast), point
+            if legacy:
+                slow = single_replay(trace, configuration, hierarchy, fast=False)
+                assert result_bytes(batch) == result_bytes(slow), point
+        assert engine.fallback_configurations == 0
+        return engine
+
+    @staticmethod
+    def spilling_groups(engine):
+        return [
+            key for key, group in engine._dedicated_cache.items() if group.spilled
+        ]
+
+    def test_spilled_groups_match_both_oracles(self):
+        trace = EasyportWorkload(packets=400).generate(seed=7)
+        # Scratchpad small enough that dedicated pools overflow mid-trace
+        # and spill to the general pool.
+        hierarchy = embedded_two_level(scratchpad_size=2048, main_size=16384)
+        space = STANDARD_SPACES["default"]()
+        engine = self.check(trace, hierarchy, space.sample(6, seed=2), "o")
+        assert self.spilling_groups(engine), "no dedicated pool ever spilled"
+
+    def test_slab_pool_spills(self):
+        trace = EasyportWorkload(packets=400).generate(seed=7)
+        hierarchy = embedded_two_level(scratchpad_size=4096, main_size=None)
+        points = [
+            {
+                "num_dedicated_pools": pools,
+                "dedicated_pool_kind": "slab",
+                "general_free_list": free_list,
+                "general_fit": "first_fit",
+                "general_coalescing": "immediate",
+                "general_splitting": "always",
+                "chunk_size": 1024,
+            }
+            for pools in (1, 2, 4)
+            for free_list in ("lifo", "address_ordered")
+        ]
+        engine = self.check(trace, hierarchy, points, "slab")
+        assert any(key[0] == "slab" for key in self.spilling_groups(engine))
+
+    def test_spill_that_also_runs_out_of_main_memory(self):
+        trace = EasyportWorkload(packets=400).generate(seed=7)
+        hierarchy = embedded_two_level(scratchpad_size=2048, main_size=6144)
+        space = STANDARD_SPACES["default"]()
+        points = space.sample(12, seed=2)
+        engine = self.check(trace, hierarchy, points, "m")
+        assert self.spilling_groups(engine)
+        refused_twice = sum(
+            refused_by_every_pool(
+                trace, configuration_of(trace, point, hierarchy), hierarchy
+            )
+            for point in points
         )
+        assert refused_twice > 0, "no spilled allocation ran out of main memory"
+
+    def test_vtc_space_on_vtc_trace(self):
+        trace = VTCWorkload(image_width=128, image_height=128).generate(seed=7)
+        hierarchy = embedded_two_level()
+        space = STANDARD_SPACES["vtc"]()
+        engine = self.check(trace, hierarchy, space.sample(12, seed=5), "v", legacy=False)
+        assert self.spilling_groups(engine)
+
+
+def refused_by_every_pool(trace, configuration, hierarchy):
+    """Allocations of a dedicated size that no pool could serve (real pools)."""
+    allocator = AllocatorFactory(hierarchy).build(configuration).allocator
+    dedicated = {pool.block_size for pool in configuration.dedicated_pools}
+    address_of = {}
+    refused = 0
+    for event in trace:
+        if event.is_alloc:
+            try:
+                address_of[event.request_id] = allocator.malloc(event.size)
+            except OutOfMemoryError:
+                refused += event.size in dedicated
+        else:
+            address = address_of.pop(event.request_id, None)
+            if address is not None:
+                allocator.free(address)
+    return refused
+
+
+def behaviour_class(free_list, fit, coalescing, splitting):
+    """The policy tuple a general group is keyed by (see ``_general_key``)."""
+    if fit == "exact_fit":
+        splitting = "never"
+    elif fit == "best_fit" and free_list == "size_ordered":
+        fit = "first_fit"
+    return free_list, fit, coalescing, splitting
+
+
+class TestBehaviourKeys:
+    """Tuples keyed alike replay alike in the real ``GeneralPool``."""
+
+    def replay(self, trace, free_list, fit, coalescing, splitting):
+        hierarchy = embedded_two_level()
+        point = {
+            "num_dedicated_pools": 2,
+            "general_free_list": free_list,
+            "general_fit": fit,
+            "general_coalescing": coalescing,
+            "general_splitting": splitting,
+            "chunk_size": 2048,
+        }
+        configuration = configuration_of(trace, point, hierarchy, "key")
+        return result_bytes(single_replay(trace, configuration, hierarchy))
+
+    @pytest.mark.parametrize("coalescing", sorted(COALESCING_POLICIES))
+    @pytest.mark.parametrize("free_list", sorted(FREE_LIST_POLICIES))
+    def test_exact_fit_ignores_splitting(self, workload_trace, free_list, coalescing):
+        _name, trace = workload_trace
+        results = {
+            self.replay(trace, free_list, "exact_fit", coalescing, splitting)
+            for splitting in SPLITTING_POLICIES
+        }
+        assert len(results) == 1
+
+    @pytest.mark.parametrize("coalescing", sorted(COALESCING_POLICIES))
+    @pytest.mark.parametrize("splitting", sorted(SPLITTING_POLICIES))
+    def test_size_ordered_best_fit_is_first_fit(self, workload_trace, coalescing, splitting):
+        _name, trace = workload_trace
+        best = self.replay(trace, "size_ordered", "best_fit", coalescing, splitting)
+        first = self.replay(trace, "size_ordered", "first_fit", coalescing, splitting)
+        assert best == first
+
+    def test_one_general_group_per_class(self):
+        trace = UniformRandomWorkload(operations=400).generate(seed=3)
+        hierarchy = embedded_two_level()
+        engine = BatchReplayEngine(trace, AllocatorFactory(hierarchy))
+        classes = set()
+        for combination in itertools.product(
+            sorted(FREE_LIST_POLICIES),
+            sorted(FIT_POLICIES),
+            sorted(COALESCING_POLICIES),
+            sorted(SPLITTING_POLICIES),
+        ):
+            free_list, fit, coalescing, splitting = combination
+            point = {
+                "num_dedicated_pools": 0,
+                "general_free_list": free_list,
+                "general_fit": fit,
+                "general_coalescing": coalescing,
+                "general_splitting": splitting,
+                "chunk_size": 2048,
+            }
+            engine.run_configuration(configuration_of(trace, point, hierarchy))
+            classes.add(behaviour_class(*combination))
+        unbounded = [key for key in engine._general_cache if len(key) == 7]
+        assert len(unbounded) == len(classes) < 180
 
 
 class TestEngineLevelIdentity:

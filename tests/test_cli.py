@@ -344,6 +344,43 @@ class TestRunCommand:
         assert not (tmp_path / "out.json").exists()
 
 
+class TestCleanErrors:
+    """Bad input ends in exit 2 and one ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["merge", "pareto", "report"])
+    @pytest.mark.parametrize(
+        "content",
+        [None, "{not json", "[1, 2]"],
+        ids=["missing", "invalid-json", "not-an-object"],
+    )
+    def test_unreadable_artefact(self, tmp_path, capsys, command, content):
+        path = tmp_path / "artefact.json"
+        if content is not None:
+            path.write_text(content)
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load artefact {path}: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--window-events", "--window-time"])
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_window_size_must_be_positive(self, tmp_path, capsys, flag, value):
+        argv = ["windows", "--workload", "uniform", "--space", "smoke", flag, value,
+                "--out", str(tmp_path / "windows.json")]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].endswith(
+            f"error: argument {flag}: must be a positive integer, got {value}"
+        )
+        assert "Traceback" not in err
+        assert not (tmp_path / "windows.json").exists()
+
+
 class TestListCommand:
     def test_lists_one_kind(self, capsys):
         assert main(["list", "workloads"]) == 0
