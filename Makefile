@@ -77,6 +77,8 @@ bench-diff:
 # the plain `dmexplore explore` artefact for the same experiment (the two
 # may differ only in the database name and the cache counters — windowed
 # replay profiles every point exactly once, so there is no memo section).
+# A gzipped `dmexplore trace` file must read back, through `load_trace` and
+# through a streamed `TraceFileSource`, with the generated trace's fingerprint.
 STREAM_DIR := .stream-demo
 verify-stream:
 	$(RUN) -m pytest tests/test_stream.py -q
@@ -86,6 +88,8 @@ verify-stream:
 	$(RUN) -m repro windows --workload diurnal --space smoke --seed 1 \
 	  --window-events 500 --out $(STREAM_DIR)/windows.json
 	$(RUN) -c 'import json; e = json.load(open("$(STREAM_DIR)/explore.json")); w = json.load(open("$(STREAM_DIR)/windows.json")); s = w.pop("windows"); assert s["count"] >= 1 and s["windows"]; e.pop("cache", None); w["name"] = e["name"]; assert w == e, "windowed records differ from the plain sweep"; print("windowed exploration carries the plain sweep records (and a windows section)")'
+	$(RUN) -m repro trace --workload vtc --seed 1 --out $(STREAM_DIR)/vtc.trace.gz
+	$(RUN) -c 'from repro.api import registry; from repro.core.exploration import ExplorationEngine; from repro.core.space import STANDARD_SPACES; from repro.stream import TraceFileSource, stream_profile; from repro.workloads import load_trace; path = "$(STREAM_DIR)/vtc.trace.gz"; trace = registry.workloads.create("vtc").generate(seed=1); engine = ExplorationEngine(STANDARD_SPACES["smoke"](), trace); built = engine.factory.build(engine.configuration_for(next(iter(engine.enumerate_points()))[1])); loaded = load_trace(path).fingerprint(); streamed = stream_profile(TraceFileSource(path), built.mapping, built.allocator).fingerprint; assert loaded == streamed == trace.fingerprint(), (loaded, streamed, trace.fingerprint()); print("gzipped trace file reads back with the generated fingerprint through both readers")'
 	rm -rf $(STREAM_DIR)
 
 # Store-format verification: the same exploration run against a jsonl and a

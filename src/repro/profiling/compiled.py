@@ -18,15 +18,16 @@ processes (a few dozen bytes per event instead of a pickled dataclass
 graph).
 
 The compiled form intentionally drops event *tags* (they never influence
-replay); the :attr:`CompiledTrace.fingerprint` is computed from the original
-events — tags included — so store keys and provenance are unaffected.
+replay); the :attr:`CompiledTrace.fingerprint` is hashed from the original
+events — tags included — in the same pass that builds the columns, so store
+keys and provenance are unaffected.
 """
 
 from __future__ import annotations
 
 import hashlib
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from .events import AllocationEvent, EventKind
 
@@ -88,7 +89,8 @@ class CompiledTrace:
         releases an allocation from an earlier segment.
     name / fingerprint:
         Identity of the source trace; the fingerprint is the trace's
-        content hash over the *original* events (tags included).
+        content hash over the *original* events (tags included), stamped by
+        :func:`compile_trace`.  Segments and prefixes carry ``""``.
     """
 
     __slots__ = (
@@ -245,82 +247,34 @@ def _pack(values: list[int]) -> array:
     return array("q", values)  # pragma: no cover - values exceed 64 bits
 
 
-def compile_trace(
-    events: Sequence[AllocationEvent], name: str = "trace", fingerprint: str = ""
-) -> CompiledTrace:
-    """Lower an event stream into its columnar form (one pass).
-
-    Slot resolution mirrors the legacy replay loop's ``dict`` bookkeeping
-    exactly: every ALLOC claims a fresh slot (re-allocating an id moves the
-    id to the new slot, as a dict overwrite would); a FREE consumes the
-    current slot of its id, so a second FREE of the same id resolves to
-    :data:`NO_SLOT` and is skipped by the replay.
-    """
-    count = len(events)
-    kinds = bytearray(count)
-    sizes = [0] * count
-    request_ids = [0] * count
-    timestamps = [0] * count
-    slots = [0] * count
-    slot_of: dict[int, int] = {}
-    slot_sizes: list[int] = []
-    slot_count = 0
-    has_live_rebinding = False
-    for index, event in enumerate(events):
-        request_id = event.request_id
-        request_ids[index] = request_id
-        timestamps[index] = event.timestamp
-        if event.kind is EventKind.ALLOC:
-            kinds[index] = ALLOC_CODE
-            size = event.size
-            sizes[index] = size
-            slots[index] = slot_count
-            slot_sizes.append(size)
-            if request_id in slot_of:
-                has_live_rebinding = True
-            slot_of[request_id] = slot_count
-            slot_count += 1
-        else:
-            slots[index] = slot_of.pop(request_id, NO_SLOT)
-    return CompiledTrace(
-        kinds=bytes(kinds),
-        sizes=_pack(sizes),
-        request_ids=_pack(request_ids),
-        timestamps=_pack(timestamps),
-        slots=_pack(slots),
-        slot_sizes=_pack(slot_sizes),
-        slot_count=slot_count,
-        has_live_rebinding=has_live_rebinding,
-        name=name,
-        fingerprint=fingerprint,
-    )
-
-
 class SegmentedTraceCompiler:
-    """Incremental :func:`compile_trace`: one segment per :meth:`feed` call.
+    """The trace compiler: one segment per :meth:`feed` call.
 
-    The streaming-ingestion layer (:mod:`repro.stream`) hands event chunks
-    to this compiler as they come off a log; each chunk becomes a
-    :class:`CompiledTrace` *segment* whose columns are, by construction,
-    exactly the corresponding rows of the one-shot compile of the full
-    stream:
+    Each chunk of events becomes a :class:`CompiledTrace` *segment* whose
+    columns are, by construction, exactly the corresponding rows of a
+    one-segment compile of the full stream (:func:`compile_trace` is that
+    one-segment run).  The streaming-ingestion layer (:mod:`repro.stream`)
+    feeds chunks as they come off a log.
 
-    * ``slots`` values are **global** — slot resolution (the ``slot_of``
-      dict of :func:`compile_trace`) carries across segment boundaries, so
-      a FREE in segment 3 of an allocation from segment 1 resolves to that
-      allocation's global slot;
+    Slot resolution mirrors the event replay loop's ``dict`` bookkeeping:
+    every ALLOC claims a fresh slot (re-allocating an id moves the id to
+    the new slot, as a dict overwrite would); a FREE consumes the current
+    slot of its id, so a second FREE of the same id resolves to
+    :data:`NO_SLOT` and is skipped by the replay.  Across segments:
+
+    * ``slots`` values are **global** — the id-to-slot table carries across
+      segment boundaries, so a FREE in segment 3 of an allocation from
+      segment 1 resolves to that allocation's global slot;
     * ``slot_sizes`` is **local** to the segment (index
       ``slot - slot_base``) so per-segment memory stays bounded by the
       chunk size, not by the live-allocation population;
     * :attr:`slot_count` is the number of allocations in *this* segment;
       the compiler's own :attr:`slot_count` is the running global total.
 
-    The compiler also maintains the stream's content hash incrementally
-    (same per-event formula as
-    :meth:`~repro.profiling.tracer.AllocationTrace.fingerprint`, tags
-    included), so a fully fed stream yields the exact fingerprint the
-    one-shot trace would — store keys and provenance agree whichever path
-    compiled the trace.
+    The same pass hashes every event into the stream's content hash (kind,
+    request id, size, timestamp and tag, in order): :meth:`fingerprint` is
+    the trace fingerprint that keys the result store and artefact
+    provenance, whichever way the stream was cut.
 
     Memory held between calls is the live-allocation table (one dict entry
     per live allocation) plus the hash state — the invariant the streaming
@@ -342,7 +296,7 @@ class SegmentedTraceCompiler:
     def fingerprint(self) -> str:
         """Content hash of everything fed so far (hex SHA-256).
 
-        After the final :meth:`feed`, equal to the one-shot
+        After the final :meth:`feed`, equal to
         :meth:`AllocationTrace.fingerprint <repro.profiling.tracer
         .AllocationTrace.fingerprint>` of the whole stream.
         """
@@ -399,6 +353,20 @@ class SegmentedTraceCompiler:
             slot_count=slot_count - slot_base,
             has_live_rebinding=self.has_live_rebinding,
             name=self.name,
-            fingerprint="",
             slot_base=slot_base,
         )
+
+
+def compile_trace(
+    events: Iterable[AllocationEvent], name: str = "trace"
+) -> CompiledTrace:
+    """Lower a whole event stream into its columnar form, fingerprint included.
+
+    A one-segment :class:`SegmentedTraceCompiler` run: the segment is the
+    whole trace (``slot_base == 0``) and carries the compiler's
+    :meth:`~SegmentedTraceCompiler.fingerprint`.
+    """
+    compiler = SegmentedTraceCompiler(name)
+    compiled = compiler.feed(events)
+    compiled.fingerprint = compiler.fingerprint()
+    return compiled

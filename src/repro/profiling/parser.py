@@ -25,6 +25,26 @@ from .logformat import (
 from .metrics import LevelMetrics, MetricSet, ProfileResult
 
 
+def numbered_lines(lines: Iterable[str]) -> Iterator[tuple[int, str, bool]]:
+    """Yield ``(line_number, line, torn)`` per line, the line end removed.
+
+    ``torn`` marks a *torn tail*: the final line when it has no line end,
+    the partial record a crashed or still-running writer leaves.  Readers
+    skip a malformed torn line with a counter, strict mode included; a
+    malformed line that ends in a newline is a format error wherever it
+    appears.  One line of lookahead tells the final line from the rest.
+    """
+    iterator = iter(lines)
+    pending = next(iterator, None)
+    line_number = 0
+    while pending is not None:
+        raw_line = pending
+        pending = next(iterator, None)
+        line_number += 1
+        line = raw_line.rstrip("\r\n")
+        yield line_number, line, pending is None and len(line) == len(raw_line)
+
+
 class LogParseError(ValueError):
     """Raised on malformed log lines when strict parsing is requested."""
 
@@ -42,11 +62,11 @@ class ParsedLog:
     event_lines: int = 0
     total_lines: int = 0
     skipped_lines: int = 0
-    #: Malformed *final* lines tolerated as a torn tail (a crashed or still
-    #: running writer leaves a truncated last line; like the result store's
-    #: torn-tail repair, the parser skips it with a counter instead of
-    #: raising — strict mode included).  Always 0 or 1, and also counted in
-    #: :attr:`skipped_lines`.
+    #: Malformed torn tails tolerated (a final line with no line end: a
+    #: crashed or still running writer leaves a truncated last line; like
+    #: the result store's torn-tail repair, the parser skips it with a
+    #: counter instead of raising — strict mode included).  Always 0 or 1,
+    #: and also counted in :attr:`skipped_lines`.
     truncated_tail: int = 0
 
     def configuration_ids(self) -> list[str]:
@@ -92,27 +112,19 @@ class ProfilingLogParser:
 
     def parse_string(self, text: str) -> ParsedLog:
         """Parse a log held in memory."""
-        return self.parse_lines(text.splitlines())
+        return self.parse_lines(text.splitlines(keepends=True))
 
     def parse_lines(self, lines: Iterable[str]) -> ParsedLog:
         """Parse an iterable of log lines.
 
-        One line of lookahead distinguishes a malformed line *inside* the
-        log (a real format error: raised in strict mode, counted otherwise)
-        from a malformed *final* line (the torn tail a crashed writer
-        leaves): the tail is skipped with ``truncated_tail`` set, never
-        raised, so a log captured mid-write still parses.
+        A malformed line that ends in a newline is a real format error
+        (raised in strict mode, counted otherwise); a malformed torn tail
+        (see :func:`numbered_lines`) is skipped with ``truncated_tail`` set,
+        never raised, so a log captured mid-write still parses.
         """
         parsed = ParsedLog()
         event_counts: dict[str, int] = {}
-        iterator = iter(lines)
-        line_number = 0
-        pending = next(iterator, None)
-        while pending is not None:
-            raw_line = pending
-            pending = next(iterator, None)
-            line_number += 1
-            line = raw_line.rstrip("\n")
+        for line_number, line, torn in numbered_lines(lines):
             parsed.total_lines += 1
             if not line or line.startswith(COMMENT_PREFIX):
                 continue
@@ -132,7 +144,7 @@ class ProfilingLogParser:
                 else:
                     raise ValueError(f"unknown record type '{prefix}'")
             except (ValueError, IndexError) as exc:
-                if pending is None:
+                if torn:
                     parsed.truncated_tail += 1
                     parsed.skipped_lines += 1
                 elif self.strict:

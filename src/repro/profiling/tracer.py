@@ -6,15 +6,13 @@ and summary statistics the exploration relies on (well-formedness, live-byte
 profile, size histogram, hot sizes).
 
 Because the same trace is replayed once per explored configuration, the
-trace also owns two derived-once caches:
+trace caches its columnar form, :meth:`AllocationTrace.compiled` — the
+:class:`~repro.profiling.compiled.CompiledTrace` the fast replay loop and
+the process-pool backend consume.  The compile pass also hashes the events,
+so :meth:`AllocationTrace.fingerprint` (the content hash keying the result
+store and artefact provenance) is read off the same cached object.
 
-* :meth:`AllocationTrace.fingerprint` — the content hash keying the result
-  store and artefact provenance;
-* :meth:`AllocationTrace.compiled` — the columnar
-  :class:`~repro.profiling.compiled.CompiledTrace` the fast replay loop and
-  the process-pool backend consume.
-
-Both caches are invalidated by :meth:`append`/:meth:`extend` (or an
+The cache is invalidated by :meth:`append`/:meth:`extend` (or an
 assignment to :attr:`events`).  Mutating the ``events`` list in place
 bypasses the invalidation — call :meth:`invalidate_caches` afterwards if
 you must do that.
@@ -22,7 +20,6 @@ you must do that.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -84,7 +81,6 @@ class AllocationTrace:
         )
         self.name = name
         self._compiled: CompiledTrace | None = None
-        self._fingerprint: str | None = None
 
     @property
     def events(self) -> list[AllocationEvent]:
@@ -127,9 +123,8 @@ class AllocationTrace:
         self.invalidate_caches()
 
     def invalidate_caches(self) -> None:
-        """Drop the cached fingerprint/compiled form after a mutation."""
+        """Drop the cached compiled form (and its fingerprint) after a mutation."""
         self._compiled = None
-        self._fingerprint = None
 
     # -- compiled (columnar) form ------------------------------------------
 
@@ -142,9 +137,7 @@ class AllocationTrace:
         rehashing the events.
         """
         if self._compiled is None:
-            self._compiled = compile_trace(
-                self.events, name=self.name, fingerprint=self.fingerprint()
-            )
+            self._compiled = compile_trace(self.events, name=self.name)
         return self._compiled
 
     @classmethod
@@ -160,7 +153,6 @@ class AllocationTrace:
         trace._events = None
         trace.name = compiled.name
         trace._compiled = compiled
-        trace._fingerprint = compiled.fingerprint or None
         return trace
 
     # -- validation --------------------------------------------------------
@@ -212,18 +204,15 @@ class AllocationTrace:
         tag of every event, in order); it is the trace component of the
         result-store key and of result-artefact provenance.
 
-        The hash is computed once and cached; :meth:`append`/:meth:`extend`
-        invalidate it.
+        The hash is computed by the compile pass and cached with
+        :meth:`compiled`; :meth:`append`/:meth:`extend` invalidate it.  A
+        compiled form without a fingerprint (a
+        :meth:`~repro.profiling.compiled.CompiledTrace.prefix`) is
+        recompiled from its events on demand.
         """
-        if self._fingerprint is None:
-            digest = hashlib.sha256()
-            for event in self.events:
-                digest.update(
-                    f"{event.kind.value}|{event.request_id}|{event.size}"
-                    f"|{event.timestamp}|{event.tag}\n".encode()
-                )
-            self._fingerprint = digest.hexdigest()
-        return self._fingerprint
+        if not self.compiled().fingerprint:
+            self._compiled = compile_trace(self.events, name=self.name)
+        return self._compiled.fingerprint
 
     # -- statistics -----------------------------------------------------------
 

@@ -29,16 +29,21 @@ from pathlib import Path
 from typing import IO, Iterator, Protocol, runtime_checkable
 
 from ..profiling.events import AllocationEvent, EventKind, alloc, free
-from ..profiling.logformat import COMMENT_PREFIX, EVENT_PREFIX
+from ..profiling.logformat import EVENT_PREFIX
+from ..profiling.parser import numbered_lines
 
 
-class StreamFormatError(ValueError):
-    """Raised when a streamed line cannot be parsed (strict sources only)."""
+class TraceFormatError(ValueError):
+    """Raised when a trace file line cannot be parsed."""
 
     def __init__(self, line_number: int, line: str, reason: str) -> None:
         self.line_number = line_number
         self.line = line
         super().__init__(f"line {line_number}: {reason}: {line!r}")
+
+
+#: The streaming name of :class:`TraceFormatError` (one class, two names).
+StreamFormatError = TraceFormatError
 
 
 @runtime_checkable
@@ -56,6 +61,14 @@ class TraceSource(Protocol):
         ...
 
 
+def open_text(path: str | Path, mode: str = "r") -> IO[str]:
+    """Open ``path`` as UTF-8 text, through gzip when its suffix is ``.gz``."""
+    path = Path(path)
+    if path.suffix == ".gz":
+        return gzip.open(path, mode + "t", encoding="utf-8")
+    return open(path, mode, encoding="utf-8")
+
+
 def open_event_stream(path: str | Path) -> IO[str]:
     """Open a text line stream over ``path``.
 
@@ -66,10 +79,7 @@ def open_event_stream(path: str | Path) -> IO[str]:
     """
     if str(path) == "-":
         return sys.stdin
-    path = Path(path)
-    if path.suffix == ".gz":
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+    return open_text(path)
 
 
 def _close_stream(handle: IO[str]) -> None:
@@ -83,12 +93,13 @@ class TraceFileSource:
     Reads exactly what :func:`repro.workloads.traces.save_trace` writes
     (``A <id> <size> <timestamp> [tag]`` / ``F <id> <timestamp> [tag]``,
     ``#`` comments, a ``# trace NAME`` header naming the trace) without
-    materialising the event list — :func:`~repro.workloads.traces.load_trace`
-    is the whole-file counterpart.  A malformed line raises
-    :class:`StreamFormatError` when ``strict`` (the default, matching
-    ``load_trace``) and is skipped with :attr:`skipped_lines` counted
-    otherwise; like the profiling-log parser, a malformed *final* line is
-    always tolerated as a torn tail (:attr:`truncated_tail`).
+    materialising the event list; :func:`~repro.workloads.traces.load_trace`
+    collects these events into a whole trace.  A malformed line raises
+    :class:`TraceFormatError` when ``strict`` (the default) and is skipped
+    with :attr:`skipped_lines` counted otherwise.  A malformed torn tail (a
+    final line with no newline, see
+    :func:`~repro.profiling.parser.numbered_lines`) is always skipped: it
+    is counted in :attr:`truncated_tail` and kept as :attr:`tail_error`.
     """
 
     def __init__(self, path: str | Path, name: str | None = None, strict: bool = True) -> None:
@@ -99,18 +110,13 @@ class TraceFileSource:
         self.strict = strict
         self.skipped_lines = 0
         self.truncated_tail = 0
+        self.tail_error: TraceFormatError | None = None
 
     def events(self) -> Iterator[AllocationEvent]:
         handle = open_event_stream(self.path)
         try:
-            iterator = iter(handle)
-            line_number = 0
-            pending = next(iterator, None)
-            while pending is not None:
-                raw_line = pending
-                pending = next(iterator, None)
-                line_number += 1
-                line = raw_line.strip()
+            for line_number, line, torn in numbered_lines(handle):
+                line = line.strip()
                 if not line:
                     continue
                 if line.startswith("#"):
@@ -121,13 +127,13 @@ class TraceFileSource:
                 try:
                     event = self._parse_line(line)
                 except ValueError as exc:
-                    if pending is None:
+                    error = TraceFormatError(line_number, line, str(exc))
+                    if torn:
                         self.truncated_tail += 1
-                        self.skipped_lines += 1
+                        self.tail_error = error
                     elif self.strict:
-                        raise StreamFormatError(line_number, line, str(exc)) from exc
-                    else:
-                        self.skipped_lines += 1
+                        raise error from exc
+                    self.skipped_lines += 1
                     continue
                 yield event
         finally:

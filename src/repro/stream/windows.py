@@ -28,6 +28,7 @@ from ..profiling.compiled import CompiledTrace, SegmentedTraceCompiler
 from ..profiling.events import AllocationEvent
 from ..profiling.metrics import MetricSet, metric_keys
 from ..profiling.profiler import Profiler, ProfilerOptions, SegmentReplaySession
+from .ingest import iter_event_chunks
 
 
 @dataclass(frozen=True)
@@ -61,25 +62,20 @@ class WindowSpec:
 
     def split(self, events: Iterable[AllocationEvent]) -> list[list[AllocationEvent]]:
         """Cut an event sequence into the window chunks this spec defines."""
+        if self.events is not None:
+            return list(iter_event_chunks(events, self.events))
         chunks: list[list[AllocationEvent]] = []
         current: list[AllocationEvent] = []
-        if self.events is not None:
-            for event in events:
-                current.append(event)
-                if len(current) >= self.events:
-                    chunks.append(current)
-                    current = []
-        else:
-            bucket: int | None = None
-            for event in events:
-                position = event.timestamp // self.time
-                if bucket is None:
-                    bucket = position
-                elif position > bucket:
-                    chunks.append(current)
-                    current = []
-                    bucket = position
-                current.append(event)
+        bucket: int | None = None
+        for event in events:
+            position = event.timestamp // self.time
+            if bucket is None:
+                bucket = position
+            elif position > bucket:
+                chunks.append(current)
+                current = []
+                bucket = position
+            current.append(event)
         if current:
             chunks.append(current)
         return chunks

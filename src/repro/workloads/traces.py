@@ -6,30 +6,23 @@ to every configuration (and can be shipped alongside experiment results).
 
 Format: one event per line, ``A <id> <size> <timestamp> [tag]`` for
 allocations and ``F <id> <timestamp> [tag]`` for frees; ``#`` starts a
-comment.
+comment.  A ``.gz`` path is gzipped on write and on read.  The reader is
+:class:`~repro.stream.sources.TraceFileSource`; :func:`load_trace` collects
+its events into a whole trace.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from ..profiling.events import alloc, free
 from ..profiling.tracer import AllocationTrace
-
-
-class TraceFormatError(ValueError):
-    """Raised when a trace file line cannot be parsed."""
-
-    def __init__(self, line_number: int, line: str, reason: str) -> None:
-        self.line_number = line_number
-        self.line = line
-        super().__init__(f"line {line_number}: {reason}: {line!r}")
+from ..stream.sources import TraceFileSource, TraceFormatError, open_text  # noqa: F401  (re-exported)
 
 
 def save_trace(trace: AllocationTrace, path: str | Path) -> int:
     """Write ``trace`` to ``path``; returns the number of lines written."""
     lines = 0
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_text(path, "w") as handle:
         handle.write(f"# trace {trace.name}\n")
         lines += 1
         for event in trace:
@@ -45,42 +38,17 @@ def save_trace(trace: AllocationTrace, path: str | Path) -> int:
 
 
 def load_trace(path: str | Path, validate: bool = True) -> AllocationTrace:
-    """Read a trace written by :func:`save_trace`."""
-    path = Path(path)
-    trace = AllocationTrace(name=path.stem)
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, raw_line in enumerate(handle, start=1):
-            line = raw_line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                comment = line[1:].strip()
-                if comment.startswith("trace "):
-                    trace.name = comment[len("trace "):].strip() or trace.name
-                continue
-            fields = line.split()
-            kind = fields[0]
-            try:
-                if kind == "A":
-                    if len(fields) < 4:
-                        raise ValueError("ALLOC lines need id, size and timestamp")
-                    request_id, size, timestamp = (
-                        int(fields[1]),
-                        int(fields[2]),
-                        int(fields[3]),
-                    )
-                    tag = fields[4] if len(fields) > 4 else ""
-                    trace.append(alloc(request_id, size, timestamp, tag))
-                elif kind == "F":
-                    if len(fields) < 3:
-                        raise ValueError("FREE lines need id and timestamp")
-                    request_id, timestamp = int(fields[1]), int(fields[2])
-                    tag = fields[3] if len(fields) > 3 else ""
-                    trace.append(free(request_id, timestamp, tag))
-                else:
-                    raise ValueError(f"unknown record type '{kind}'")
-            except ValueError as exc:
-                raise TraceFormatError(line_number, line, str(exc)) from exc
+    """Read a whole trace written by :func:`save_trace`.
+
+    A whole-file load promises a complete trace, so a malformed torn tail,
+    which a streaming :class:`TraceFileSource` skips, raises
+    :class:`TraceFormatError` here.
+    """
+    source = TraceFileSource(path)
+    events = list(source.events())
+    if source.tail_error is not None:
+        raise source.tail_error
+    trace = AllocationTrace(events, name=source.name)
     if validate:
         trace.validate()
     return trace
@@ -88,15 +56,4 @@ def load_trace(path: str | Path, validate: bool = True) -> AllocationTrace:
 
 def round_trip_equal(first: AllocationTrace, second: AllocationTrace) -> bool:
     """True when two traces contain the same events in the same order."""
-    if len(first) != len(second):
-        return False
-    for left, right in zip(first, second):
-        if (
-            left.kind != right.kind
-            or left.request_id != right.request_id
-            or left.size != right.size
-            or left.timestamp != right.timestamp
-            or left.tag != right.tag
-        ):
-            return False
-    return True
+    return first.events == second.events

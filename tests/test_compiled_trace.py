@@ -11,7 +11,12 @@ import pickle
 
 import pytest
 
-from repro.profiling.compiled import NO_SLOT, CompiledTrace, compile_trace
+from repro.profiling.compiled import (
+    NO_SLOT,
+    CompiledTrace,
+    SegmentedTraceCompiler,
+    compile_trace,
+)
 from repro.profiling.events import EventKind, alloc, free
 from repro.profiling.tracer import AllocationTrace
 
@@ -158,6 +163,15 @@ class TestCompileFunction:
         compiled = compile_trace([], name="empty")
         assert len(compiled) == 0 and compiled.slot_count == 0
 
+    def test_compile_is_one_segment_stamped_with_the_fingerprint(self):
+        trace = simple_trace()
+        compiler = SegmentedTraceCompiler(trace.name)
+        segment = compiler.feed(trace.events)
+        compiled = compile_trace(trace.events, name=trace.name)
+        assert columns(compiled) == columns(segment)
+        assert segment.fingerprint == ""
+        assert compiled.fingerprint == compiler.fingerprint() == trace.fingerprint()
+
     def test_rejects_nothing_on_malformed_traces(self):
         # compile is total: malformed streams (validate() would reject) still
         # lower, mirroring what the legacy replay loop tolerates.
@@ -207,6 +221,14 @@ class TestPrefix:
         expected = columns(compile_trace(trace.events[:2]))
         expected["has_live_rebinding"] = True
         assert columns(head) == expected
+
+    def test_prefix_fingerprint_recompiles_its_events(self):
+        trace = simple_trace()
+        head = AllocationTrace.from_compiled(trace.compiled().prefix(3))
+        assert head.compiled().fingerprint == ""
+        expected = AllocationTrace(trace.events[:3]).fingerprint()
+        assert head.fingerprint() == expected
+        assert head.compiled().fingerprint == expected
 
     def test_prefix_needs_no_events(self):
         lazy = AllocationTrace.from_compiled(simple_trace().compiled())

@@ -13,6 +13,7 @@ from repro.profiling.parser import (
     LogParseError,
     ProfilingLogParser,
     iter_result_metrics,
+    numbered_lines,
     parse_log,
     parse_log_text,
 )
@@ -169,6 +170,33 @@ class TestTornTail:
         parsed = parse_log_text(text, strict=True)
         assert parsed.truncated_tail == 1
         assert list(parsed.results) == ["cfg1"]
+
+    def test_newline_terminated_malformed_final_line_is_an_error(self):
+        # Only a final line with no newline is a torn tail; a complete
+        # malformed line is a format error even when it comes last.
+        text = log_to_string([make_result()]) + "R|cfg2|trace|12\n"
+        with pytest.raises(LogParseError):
+            parse_log_text(text, strict=True)
+        parsed = parse_log_text(text)
+        assert parsed.truncated_tail == 0
+        assert parsed.skipped_lines == 1
+
+    def test_parse_path_applies_the_same_rule(self, tmp_path):
+        path = tmp_path / "profile.log"
+        path.write_text(log_to_string([make_result()]) + "R|cfg2|trace|12")
+        assert parse_log(path, strict=True).truncated_tail == 1
+        path.write_text(log_to_string([make_result()]) + "R|cfg2|trace|12\n")
+        with pytest.raises(LogParseError):
+            parse_log(path, strict=True)
+
+    def test_numbered_lines_marks_only_an_unterminated_final_line(self):
+        assert list(numbered_lines(["a\n", "b\r\n", "c"])) == [
+            (1, "a", False),
+            (2, "b", False),
+            (3, "c", True),
+        ]
+        assert list(numbered_lines(["a", "b\n"])) == [(1, "a", False), (2, "b", False)]
+        assert list(numbered_lines([])) == []
 
     def test_intact_log_reports_no_tail(self):
         text = log_to_string([make_result()], trace=make_trace(5), include_events=True)

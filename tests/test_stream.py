@@ -7,6 +7,7 @@ identity is what lets million-event logs stream through in bounded memory
 while producing exactly the artefacts the in-memory paths produce.
 """
 
+import dataclasses
 import gzip
 import json
 import random
@@ -14,6 +15,7 @@ import random
 import pytest
 
 from repro.allocator.composed import ComposedAllocator
+from repro.api import registry
 from repro.core.configuration import configuration_from_point
 from repro.core.exploration import ExplorationEngine
 from repro.core.factory import AllocatorFactory
@@ -23,9 +25,11 @@ from repro.core.space import STANDARD_SPACES
 from repro.gui.live import LiveDashboardSink
 from repro.memhier.hierarchy import embedded_two_level
 from repro.profiling.compiled import SegmentedTraceCompiler, compile_trace
+from repro.profiling.events import alloc, free
 from repro.profiling.logformat import write_log
 from repro.profiling.metrics import LevelMetrics, MetricSet, ProfileResult
 from repro.profiling.profiler import Profiler, ProfilerOptions, SegmentReplaySession
+from repro.profiling.tracer import AllocationTrace
 from repro.stream import (
     ProfilingLogSource,
     StreamFormatError,
@@ -41,7 +45,9 @@ from repro.workloads import (
     DiurnalWorkload,
     RequestBurstWorkload,
     SessionChurnWorkload,
+    TraceFormatError,
     UniformRandomWorkload,
+    VTCWorkload,
     load_trace,
     round_trip_equal,
     save_trace,
@@ -153,6 +159,62 @@ class TestSegmentedCompiler:
         assert sum(len(chunk) for chunk in chunks) == sum(1 for _ in source.events())
         with pytest.raises(ValueError):
             list(iter_event_chunks([], 0))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_segmentation_concatenates_to_the_oneshot_compile(self, seed):
+        # A tagged trace (VTC) and an untagged one: tags reach the
+        # fingerprint but not the columns or the reconstructed events.
+        rng = random.Random(seed)
+        workload = (
+            VTCWorkload(image_width=64, image_height=64)
+            if seed % 2
+            else RequestBurstWorkload(bursts=6)
+        )
+        trace = workload.generate(seed=seed)
+        whole = compile_trace(trace.events, name=trace.name)
+        compiler = SegmentedTraceCompiler(trace.name)
+        offsets = random_cuts(len(trace), rng)
+        segments = [
+            compiler.feed(trace.events[start:stop])
+            for start, stop in zip(offsets, offsets[1:])
+        ]
+        assert b"".join(s.kinds for s in segments) == whole.kinds
+        for column in ("sizes", "request_ids", "timestamps", "slots", "slot_sizes"):
+            joined = [v for s in segments for v in getattr(s, column)]
+            assert joined == list(getattr(whole, column)), column
+        assert compiler.fingerprint() == whole.fingerprint == trace.fingerprint()
+        assert all(s.fingerprint == "" for s in segments)
+        untagged = [dataclasses.replace(event, tag="") for event in trace]
+        assert [e for s in segments for e in s.events()] == untagged
+        assert whole.events() == untagged
+
+
+#: Fingerprint of every registry workload at seed 1.  The fingerprint keys
+#: result-store entries, artefact provenance and cluster leases, so a change
+#: to the trace layer must leave every value here untouched.
+FINGERPRINT_PINS = {
+    "bursty": "1b4a2a6726d266b7e3cc9a451b5ed60baac54d22de3e864aa671264f01320a18",
+    "diurnal": "30386fd7ca8c4c1d100a721fb770868e7c10c59f998c8eeac0bbac8ce32e2d73",
+    "easyport": "36a9aca13e49a772812ce117e397ba372ff55fc20cc54feaf05089b30c6c13b8",
+    "requests": "8ab29a64b9c1e21bb6d662a7b26563ad8888767f67cc3a94367c9270622de69b",
+    "sessions": "d3e2e128bf23e911ad9356de13471fe411f8a666046e773a2ed0613acd93f7f6",
+    "uniform": "ade6fc9352677cd3a9716fb6d27311d41e5586ffc673631f8ffdba266e755c5a",
+    "vtc": "ecd563c98fc29fffac58f439b9ad0736eb7c0ad6801d769ca64cce033326f7d4",
+}
+
+
+class TestFingerprintPins:
+    def test_pins_cover_the_registry(self):
+        assert sorted(FINGERPRINT_PINS) == sorted(registry.workloads.names())
+
+    @pytest.mark.parametrize("name", sorted(FINGERPRINT_PINS))
+    def test_registry_fingerprints_are_pinned(self, name):
+        trace = registry.workloads.create(name).generate(seed=1)
+        assert trace.fingerprint() == FINGERPRINT_PINS[name]
+        compiler = SegmentedTraceCompiler(trace.name)
+        for chunk in iter_event_chunks(trace, 1000):
+            compiler.feed(chunk)
+        assert compiler.fingerprint() == FINGERPRINT_PINS[name]
 
 
 class TestSegmentedReplayIdentity:
@@ -287,6 +349,95 @@ class TestStreamProfile:
         assert compiler.segments == -(-total // 100)
 
 
+#: The events every readable row of :data:`READER_MATRIX` holds.
+MATRIX_EVENTS = [alloc(0, 64, 0), alloc(1, 32, 1, "tagged"), free(0, 2), free(1, 3)]
+MATRIX_TEXT = "A 0 64 0\nA 1 32 1 tagged\nF 0 2\nF 1 3\n"
+
+#: Row -> (file name, content, ``load_trace`` succeeds, strict
+#: ``TraceFileSource`` truncated_tail or None when it raises, tolerant
+#: source (skipped_lines, truncated_tail), trace name after reading).
+READER_MATRIX = {
+    "clean": ("t.trace", MATRIX_TEXT, True, 0, (0, 0), "t"),
+    "unterminated-malformed-tail": (
+        "t.trace", MATRIX_TEXT + "A 2 3", False, 1, (1, 1), "t"
+    ),
+    "terminated-malformed-tail": (
+        "t.trace", MATRIX_TEXT + "A 2 3\n", False, None, (1, 0), "t"
+    ),
+    "interior-garbage": (
+        "t.trace",
+        "A 0 64 0\nX junk\nA 1 32 1 tagged\nF 0 2\nF 1 3\n",
+        False,
+        None,
+        (1, 0),
+        "t",
+    ),
+    "gzip": ("t.trace.gz", MATRIX_TEXT, True, 0, (0, 0), "t.trace"),
+    "header": ("t.trace", "# trace demo\n" + MATRIX_TEXT, True, 0, (0, 0), "demo"),
+}
+
+
+class TestReadersAgree:
+    """``load_trace``, strict and tolerant ``TraceFileSource`` and
+    ``stream_profile`` give one outcome per file, damaged or not."""
+
+    @pytest.mark.parametrize("row", sorted(READER_MATRIX))
+    def test_matrix(self, tmp_path, row):
+        filename, text, loads, strict_tail, tolerant_counts, name = READER_MATRIX[row]
+        path = tmp_path / filename
+        data = text.encode()
+        path.write_bytes(gzip.compress(data) if filename.endswith(".gz") else data)
+
+        if loads:
+            trace = load_trace(path)
+            assert trace.events == MATRIX_EVENTS
+            assert trace.name == name
+        else:
+            with pytest.raises(TraceFormatError):
+                load_trace(path)
+
+        strict = TraceFileSource(path)
+        if strict_tail is None:
+            with pytest.raises(TraceFormatError):
+                list(strict.events())
+        else:
+            assert list(strict.events()) == MATRIX_EVENTS
+            assert strict.truncated_tail == strict_tail
+            assert strict.name == name
+
+        tolerant = TraceFileSource(path, strict=False)
+        assert list(tolerant.events()) == MATRIX_EVENTS
+        assert (tolerant.skipped_lines, tolerant.truncated_tail) == tolerant_counts
+        assert tolerant.name == name
+
+        expected = AllocationTrace(list(MATRIX_EVENTS), name=name)
+        point = STANDARD_SPACES["smoke"]().sample(1, seed=1)[0]
+        built = build(expected, point)
+
+        def profile():
+            return stream_profile(
+                TraceFileSource(path),
+                built.mapping,
+                built.allocator,
+                segment_events=3,
+                configuration_id="under-test",
+                name=name,
+            )
+
+        if strict_tail is None:
+            with pytest.raises(TraceFormatError):
+                profile()
+        else:
+            outcome = profile()
+            reference, _ = oneshot(expected, point)
+            assert result_bytes(outcome.result) == result_bytes(reference)
+            assert outcome.fingerprint == expected.fingerprint()
+            assert outcome.events == len(MATRIX_EVENTS)
+
+    def test_one_error_class(self):
+        assert TraceFormatError is StreamFormatError
+
+
 class TestSources:
     def test_trace_file_source_round_trips(self, tmp_path):
         trace = SessionChurnWorkload(ticks=150).generate(seed=1)
@@ -308,6 +459,21 @@ class TestSources:
         packed.write_bytes(gzip.compress(plain.read_bytes()))
         events = list(TraceFileSource(packed).events())
         assert len(events) == len(trace)
+
+    def test_gz_suffix_is_gzipped_on_write_and_read_by_both_readers(self, tmp_path):
+        trace = VTCWorkload(image_width=64, image_height=64).generate(seed=1)
+        path = tmp_path / "vtc.trace.gz"
+        lines = save_trace(trace, path)
+        with gzip.open(path, "rt", encoding="utf-8") as handle:
+            assert handle.readline() == f"# trace {trace.name}\n"
+            assert 1 + sum(1 for _ in handle) == lines
+        loaded = load_trace(path)
+        assert loaded.events == trace.events
+        assert loaded.name == trace.name
+        source = TraceFileSource(path)
+        assert list(source.events()) == trace.events
+        assert source.name == trace.name
+        assert load_trace(path).fingerprint() == trace.fingerprint()
 
     def test_trace_file_source_strictness_and_torn_tail(self, tmp_path):
         path = tmp_path / "broken.trace"
