@@ -64,12 +64,14 @@ bench-search:
 bench-search-full:
 	BENCH_SEARCH_FULL=1 $(RUN) -m pytest benchmarks/test_search_quality.py -q -s
 
-# Compare two benchmark results metric by metric: two perfbench results
-# (perfbench/out/results/*.json) or two BENCH_*.json ledgers.  Flags every
-# end-to-end metric that moved past its BENCHMARK.json bound, e.g.
+# Compare benchmark results metric by metric: perfbench results
+# (perfbench/out/results/*.json, several runs of one workload per side
+# compare medians) or two BENCH_*.json ledgers.  Flags every end-to-end
+# metric that moved past its BENCHMARK.json bound, e.g.
 #   make bench-diff OLD=parent-sweep.json NEW=change-sweep.json
+#   make bench-diff OLD="parent-1.json parent-2.json" NEW="change-1.json change-2.json"
 bench-diff:
-	$(RUN) benchmarks/bench_diff.py $(OLD) $(NEW)
+	$(RUN) benchmarks/bench_diff.py --old $(OLD) --new $(NEW)
 
 # Streaming verification: the segmented replay and the windowed analysis
 # must be byte-identical to the one-shot batch path (the property tests),
@@ -172,7 +174,10 @@ verify-cluster:
 # Declarative-experiment verification: the default spec emitted by
 # `dmexplore spec` must dry-run, run, and produce a database byte-identical
 # to the equivalent legacy `dmexplore explore` flag invocation — for the
-# exhaustive and one heuristic strategy.  CI runs the same flow.
+# exhaustive and one heuristic strategy.  A document still carrying the
+# retired `"prune": false, "prune_fraction": 0.25` keys must run to the
+# same bytes, and `--set prune=true` must exit 2 without an artefact.  CI
+# runs the same flow.
 SPEC_DIR := .spec-demo
 verify-spec:
 	rm -rf $(SPEC_DIR) && mkdir -p $(SPEC_DIR)
@@ -191,7 +196,20 @@ verify-spec:
 	$(RUN) -m repro explore --workload uniform --space smoke --seed 1 \
 	  --strategy random --budget 6 --out $(SPEC_DIR)/flags-random.json
 	cmp $(SPEC_DIR)/run-random.json $(SPEC_DIR)/flags-random.json
+	$(RUN) -c 'import json; d = json.load(open("$(SPEC_DIR)/experiment.json")); d.update({"prune": False, "prune_fraction": 0.25}); json.dump(d, open("$(SPEC_DIR)/legacy.json", "w"), indent=2)'
+	$(RUN) -m repro run $(SPEC_DIR)/legacy.json \
+	  --set workload.name=uniform --set space.name=smoke --set seed=1 \
+	  --set strategy.name=random --set strategy.params.budget=6 \
+	  --out $(SPEC_DIR)/run-legacy.json
+	cmp $(SPEC_DIR)/run-legacy.json $(SPEC_DIR)/flags-random.json
+	$(RUN) -m repro run $(SPEC_DIR)/experiment.json \
+	  --set workload.name=uniform --set space.name=smoke \
+	  --set strategy.name=random --set prune=true \
+	  --out $(SPEC_DIR)/pruned.json 2> $(SPEC_DIR)/prune.err; test $$? -eq 2
+	test ! -e $(SPEC_DIR)/pruned.json
+	grep -q '^error: prune:' $(SPEC_DIR)/prune.err
 	@echo "spec-driven runs reproduce the flag invocations byte-identically"
+	@echo "a spec carrying the retired prune keys runs unchanged; prune=true exits 2"
 	rm -rf $(SPEC_DIR)
 
 .PHONY: verify bench bench-diff bench-eval bench-eval-full bench-store bench-store-full bench-stream bench-stream-full bench-search bench-search-full verify-docs verify-bench verify-shards verify-cluster verify-spec verify-store verify-stream

@@ -2,7 +2,7 @@
 
 Every explored configuration costs one full trace replay — the paper's
 "simulation of our dynamic application" step, the dominant cost the DATE'06
-flow prunes and parallelises around.  This benchmark measures that kernel
+flow parallelises around.  This benchmark measures that kernel
 across the three generations that exist in this repository:
 
 * **seed** — the original hot path (event-object loop, per-event

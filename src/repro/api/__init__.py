@@ -4,7 +4,7 @@ This package is the stable surface of the exploration tool:
 
 * :class:`ExperimentSpec` — a frozen, JSON-serialisable description of one
   experiment (workload + space + hierarchy + energy model + strategy +
-  backend + store + sink + prune settings), with schema validation, a
+  backend + store + sink), with schema validation, a
   ``spec_version`` and a canonical :meth:`~ExperimentSpec.spec_hash` that
   artefact provenance embeds.
 * :mod:`repro.api.registry` — open registries (``workloads``, ``spaces``,

@@ -79,15 +79,13 @@ class RunResult:
 
     @property
     def counters(self) -> dict:
-        """Cache/store/pruning execution counters of the run."""
+        """Cache/store/surrogate execution counters of the run."""
         return {
             "cache_hits": self.database.cache_hits,
             "cache_misses": self.database.cache_misses,
             "store_hits": self.database.store_hits,
             "store_misses": self.database.store_misses,
             "store_loaded": self.database.store_loaded,
-            "prune_skipped": self.database.prune_skipped,
-            "prune_predicted": self.database.prune_predicted,
             "surrogate_skips": self.database.surrogate_skips,
         }
 
@@ -211,8 +209,6 @@ class Experiment:
         kwargs = dict(
             seed=spec.seed,
             metrics=resolved.metrics,
-            prune=spec.prune,
-            prune_fraction=spec.prune_fraction,
             sink=resolved.sink,
             **params,
         )

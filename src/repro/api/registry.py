@@ -31,8 +31,8 @@ Registries
     ``factory(**params) -> MemoryHierarchy``.
 ``strategies``
     Either a :class:`~repro.core.search.SearchStrategy` subclass (wrapped
-    automatically) or a runner ``factory(engine, *, seed, metrics, prune,
-    prune_fraction, sink, **params) -> ResultDatabase``.
+    automatically) or a runner ``factory(engine, *, seed, metrics, sink,
+    **params) -> ResultDatabase``.
 ``backends``
     ``factory(**params) -> EvaluationBackend``.
 ``sinks``
@@ -56,7 +56,6 @@ from dataclasses import dataclass, field
 
 from ..core.exploration import ProcessPoolBackend, SerialBackend
 from ..core.search import (
-    DEFAULT_PRUNE_FRACTION,
     DEFAULT_SEARCH_BUDGET,
     EvolutionarySearch,
     HillClimbSearch,
@@ -231,7 +230,7 @@ def search_strategy_factory(cls: type[SearchStrategy]) -> Callable:
     """Adapt a :class:`SearchStrategy` subclass to the strategy-runner contract.
 
     The returned runner builds the strategy with the experiment's budget,
-    seed, metric selection and prune settings (plus any strategy-specific
+    seed and metric selection (plus any strategy-specific
     params from the spec) and returns its result database.
     """
 
@@ -240,8 +239,6 @@ def search_strategy_factory(cls: type[SearchStrategy]) -> Callable:
         *,
         seed: int = 0,
         metrics: list[str] | None = None,
-        prune: bool = False,
-        prune_fraction: float = DEFAULT_PRUNE_FRACTION,
         sink=None,
         budget: int = DEFAULT_SEARCH_BUDGET,
         **params,
@@ -254,14 +251,12 @@ def search_strategy_factory(cls: type[SearchStrategy]) -> Callable:
                 engine,
                 SearchBudget(evaluations=budget, seed=seed),
                 metrics=metrics,
-                prune=prune,
-                prune_fraction=prune_fraction,
                 **params,
             )
         except (TypeError, ValueError) as error:
             raise RegistryError(f"strategy '{cls.name}': {error}") from None
         # Observability sinks (the live dashboard) can watch the strategy's
-        # prune counters while the search runs.
+        # counters while the search runs.
         if sink is not None and hasattr(sink, "attach_strategy"):
             sink.attach_strategy(strategy)
         return strategy.run(sink=sink)
@@ -276,8 +271,6 @@ def _run_exhaustive(
     *,
     seed: int = 0,
     metrics: list[str] | None = None,
-    prune: bool = False,
-    prune_fraction: float = DEFAULT_PRUNE_FRACTION,
     sink=None,
 ):
     """Exhaustive enumeration of the whole space (the paper's flow)."""
@@ -437,7 +430,7 @@ def _populate() -> None:
         "dashboard",
         _dashboard_sink,
         description="live terminal dashboard: front size, metric ranges, "
-        "prune/memo/store counters, eval rate (params: interval)",
+        "memo/store/surrogate counters, eval rate (params: interval)",
     )
 
     # The store factories import repro.core.store lazily for symmetry with

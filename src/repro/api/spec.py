@@ -4,7 +4,7 @@ The paper's methodology is "describe the workload, the parameter space and
 the cost model — the tool explores".  ``ExperimentSpec`` is that
 description as a value: a frozen, JSON-serialisable record of *everything*
 that defines a run — workload, space, hierarchy, energy model, strategy,
-backend, store, sink and prune settings, each a ``name`` + ``params``
+backend, store and sink, each a ``name`` + ``params``
 reference resolved through :mod:`repro.api.registry` — with schema
 validation, a ``spec_version`` for forward compatibility, and a canonical
 hash that artefact provenance and persisted store entries embed, so any
@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Any
 
 from ..core.exploration import ShardSpec
-from ..core.search import DEFAULT_PRUNE_FRACTION, DEFAULT_SEARCH_BUDGET  # noqa: F401  (re-exported: the CLI derives --budget from it)
+from ..core.search import DEFAULT_SEARCH_BUDGET  # noqa: F401  (re-exported: the CLI derives --budget from it)
 from ..memhier.energy import EnergyModel
 from ..profiling.metrics import metric_keys
 from . import registry
@@ -171,8 +171,6 @@ class ExperimentSpec:
     sample: int | None = None
     sample_seed: int = 0
     shard: str = ""
-    prune: bool = False
-    prune_fraction: float = DEFAULT_PRUNE_FRACTION
 
     # -- serialisation -----------------------------------------------------
 
@@ -194,8 +192,6 @@ class ExperimentSpec:
             "sample": self.sample,
             "sample_seed": self.sample_seed,
             "shard": self.shard,
-            "prune": self.prune,
-            "prune_fraction": self.prune_fraction,
         }
 
     @classmethod
@@ -213,7 +209,9 @@ class ExperimentSpec:
                 f"experiment document must be a JSON object, got {type(data).__name__}"
             )
         data = _strip_comments(data)
-        known = {f.name for f in fields(cls)}
+        # Retired keys (dominance pruning was removed): documents written
+        # before then carry ``"prune": false`` and still parse.
+        known = {f.name for f in fields(cls)} | {"prune", "prune_fraction"}
         unknown = set(data) - known
         if unknown:
             raise SpecError(f"unknown key '{sorted(unknown)[0]}' in experiment document")
@@ -249,15 +247,11 @@ class ExperimentSpec:
             kwargs["sample"] = _expect(data["sample"], int, "sample")
         if "shard" in data:
             kwargs["shard"] = _expect(data["shard"], str, "shard")
-        if "prune" in data:
-            kwargs["prune"] = _expect(data["prune"], bool, "prune")
-        if "prune_fraction" in data:
-            value = data["prune_fraction"]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SpecError(
-                    f"prune_fraction: expected a number, got {type(value).__name__}"
-                )
-            kwargs["prune_fraction"] = float(value)
+        if data.get("prune", False) is not False:
+            raise SpecError(
+                "prune: dominance pruning has been removed; "
+                "delete the key or set it to false"
+            )
         return cls(**kwargs)
 
     def to_json(self, path: str | Path | None = None, indent: int = 2) -> str:
@@ -314,6 +308,10 @@ class ExperimentSpec:
         """
         data = self.to_dict()
         data["shard"] = ""
+        # Retired fields, kept at their last values so existing specs and
+        # artefacts keep their identity.
+        data["prune"] = False
+        data["prune_fraction"] = 0.25
         defaults = ExperimentSpec()
         data["backend"] = defaults.backend.as_dict()
         data["store"] = defaults.store.as_dict()
@@ -350,9 +348,8 @@ class ExperimentSpec:
 
         Resolves every component name against its registry, checks params
         against the factory signatures, and enforces the cross-field rules
-        the engine assumes (shard only with exhaustive, prune only with
-        heuristics, fractions in range).  Raises :class:`SpecError` naming
-        the offending key.
+        the engine assumes (shard only with exhaustive).  Raises
+        :class:`SpecError` naming the offending key.
         """
         for key, reg in (
             ("workload", registry.workloads),
@@ -449,15 +446,6 @@ class ExperimentSpec:
                     "shard: sharding partitions the exhaustive enumeration; "
                     f"it cannot be combined with strategy '{self.strategy.name}'"
                 )
-        if self.prune and self.strategy.name == "exhaustive":
-            raise SpecError(
-                "prune: dominance pruning only applies to heuristic strategies "
-                "(exhaustive runs must evaluate every point)"
-            )
-        if not 0.0 < self.prune_fraction < 1.0:
-            raise SpecError(
-                f"prune_fraction: must be in (0, 1), got {self.prune_fraction}"
-            )
         if self.seed < 0:
             raise SpecError(f"seed: must be non-negative, got {self.seed}")
         return self
@@ -559,7 +547,4 @@ def default_spec_document() -> dict:
         "sample_seed": spec.sample_seed,
         "//shard": "'K/N' evaluates one slice of the enumeration ('' = all)",
         "shard": spec.shard,
-        "//prune": "heuristic strategies: skip dominated candidates early",
-        "prune": spec.prune,
-        "prune_fraction": spec.prune_fraction,
     }

@@ -233,26 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
             "merge the shard artefacts with 'dmexplore merge'"
         ),
     )
-    explore_parser.add_argument(
-        "--prune",
-        action="store_true",
-        default=_DEFAULTS.prune,
-        help=(
-            "heuristic strategies only: skip candidates whose prefix-replay "
-            "metrics are already dominated by the live Pareto front, before "
-            "full profiling"
-        ),
-    )
-    explore_parser.add_argument(
-        "--prune-fraction",
-        type=float,
-        default=_DEFAULTS.prune_fraction,
-        metavar="F",
-        help=(
-            "fraction of the trace replayed to predict a candidate's metrics "
-            f"when --prune is on (default {_DEFAULTS.prune_fraction})"
-        ),
-    )
 
     run_parser = subparsers.add_parser(
         "run", help="run an experiment described by a JSON spec file"
@@ -572,8 +552,6 @@ def _spec_from_explore_args(args: argparse.Namespace) -> ExperimentSpec:
         metrics=tuple(args.metrics) if args.metrics else None,
         sample=args.sample,
         shard=args.shard or "",
-        prune=args.prune,
-        prune_fraction=args.prune_fraction,
     )
 
 
@@ -663,15 +641,15 @@ def _strategy_params_line(entry) -> str | None:
 
     Strategies wrapped by :func:`~repro.api.registry.search_strategy_factory`
     expose their class; its constructor signature (minus the arguments the
-    experiment layer supplies: engine, budget, metrics, prune settings) is
-    exactly what ``strategy.params`` accepts, with the shown defaults.
+    experiment layer supplies: engine, budget, metrics) is exactly what
+    ``strategy.params`` accepts, with the shown defaults.
     """
     import inspect
 
     cls = getattr(entry.factory, "strategy_class", None)
     if cls is None:
         return None
-    supplied = {"self", "engine", "budget", "metrics", "prune", "prune_fraction"}
+    supplied = {"self", "engine", "budget", "metrics"}
     parts = [f"budget={entry.defaults.get('budget', DEFAULT_SEARCH_BUDGET)}"]
     for name, parameter in inspect.signature(cls.__init__).parameters.items():
         if name in supplied or parameter.kind in (

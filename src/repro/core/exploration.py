@@ -554,12 +554,6 @@ class ExplorationEngine:
         and parallel dispatch go through :meth:`evaluate_points`.
         """
         configuration = self.configuration_for(point, label=label)
-        return self._record(configuration, self._replay(configuration, self.trace))
-
-    def _replay(
-        self, configuration: AllocatorConfiguration, trace: AllocationTrace
-    ) -> ProfileResult:
-        """Build ``configuration`` and single-replay ``trace`` through it."""
         built = self.factory.build(configuration)
         profiler = Profiler(
             built.mapping,
@@ -568,7 +562,10 @@ class ExplorationEngine:
                 payload_access_factor=self.settings.payload_access_factor
             ),
         )
-        return profiler.run(built.allocator, trace, configuration.configuration_id)
+        profile = profiler.run(
+            built.allocator, self.trace, configuration.configuration_id
+        )
+        return self._record(configuration, profile)
 
     def _record(
         self, configuration: AllocatorConfiguration, profile: ProfileResult
@@ -745,44 +742,6 @@ class ExplorationEngine:
     def evaluate_point(self, point: dict, label: str = "") -> ExplorationRecord:
         """Cached evaluation of one point (single-item :meth:`evaluate_points`)."""
         return self.evaluate_points([(point, label)])[0]
-
-    def is_known(self, point: dict) -> bool:
-        """True when evaluating ``point`` would cost no fresh profiling.
-
-        Checks the in-memory memoisation cache (L1) and, when attached, the
-        persistent result store (L2) — without touching any hit/miss
-        counter.  Dominance pruning uses this to never predict-and-skip a
-        point whose exact metrics are already available for free.
-        """
-        if canonical_point_key(point) in self._point_cache:
-            return True
-        return self.store is not None and self.store.contains(self.fingerprint, point)
-
-    def predict_point(
-        self,
-        point: dict,
-        fraction: float = 0.25,
-        metrics: Sequence[str] | None = None,
-    ) -> tuple[tuple[float, ...], int]:
-        """Cheap metric prediction: replay only a prefix of the trace.
-
-        Profiles the configuration of ``point`` over the first ``fraction``
-        of the trace events and returns ``(partial metric vector, prefix OOM
-        failures)``.  Every profiled metric accumulates monotonically over
-        the event stream (accesses, energy and cycles are cumulative sums;
-        footprint is a running peak), so the partial vector is a sound
-        component-wise *lower bound* of the full-trace vector — and because
-        all candidates are bounded on the same prefix, partial vectors are
-        also comparable with each other as a dominance surrogate.  A prefix
-        that already fails allocations proves the full replay infeasible.
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"prediction fraction must be in (0, 1], got {fraction}")
-        keys = list(metrics or self.settings.metrics)
-        count = max(1, int(len(self.trace) * fraction))
-        prefix = AllocationTrace.from_compiled(self.trace.compiled().prefix(count))
-        profile = self._replay(self.configuration_for(point), prefix)
-        return profile.totals.values(keys), _oom_failures(profile)
 
     @property
     def cached_point_count(self) -> int:

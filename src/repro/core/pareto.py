@@ -16,7 +16,7 @@ Two ways to obtain a front live here:
   dominates.  After inserting a sequence of items its member set (and
   order) is exactly what the batch functions return for the same sequence,
   so streaming consumers (the exploration engine, store-backed reporting,
-  dominance pruning) never hold more than the front in memory.
+  the live dashboard) never hold more than the front in memory.
 
 Layering the whole set into successive fronts has one implementation,
 :func:`fast_non_dominated_sort`; :func:`pareto_rank` is its per-vector rank

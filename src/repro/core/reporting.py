@@ -110,7 +110,7 @@ def exploration_report(
     Works identically on an in-memory :class:`ResultDatabase` and on a
     :class:`StreamingResultView` over a persistent store — everything the
     report body states is a pure function of the records; the
-    cache/store/pruning counter lines only appear when the database carries
+    cache/store/surrogate counter lines only appear when the database carries
     that execution metadata.
 
     ``metrics`` restricts which metrics the table, the listing and the knee
@@ -142,16 +142,9 @@ def exploration_report(
             f"{database.store_misses} misses, "
             f"{database.store_loaded} entries loaded from disk"
         )
-    if database.prune_skipped or database.prune_predicted:
+    if database.surrogate_skips:
         lines.append(
-            f"Dominance pruning: {database.prune_skipped} of "
-            f"{database.prune_predicted} predicted candidates skipped "
-            "before profiling"
-        )
-    surrogate_skips = getattr(database, "surrogate_skips", 0)
-    if surrogate_skips:
-        lines.append(
-            f"Surrogate skips: {surrogate_skips} candidates discarded on "
+            f"Surrogate skips: {database.surrogate_skips} candidates discarded on "
             "model prediction alone (no dominance proof)"
         )
     if database.provenance is not None and database.provenance.shard:

@@ -264,14 +264,8 @@ class ResultDatabase:
         self.store_hits = 0
         self.store_misses = 0
         self.store_loaded = 0
-        # Dominance-pruning outcome of the producing search (0 when the
-        # producer did not prune): candidates skipped before profiling, and
-        # cheap partial predictions performed to decide the skips.  Of the
-        # skips, ``surrogate_skips`` counts those decided on a surrogate
-        # prediction alone (quorum rule or learned model) rather than on a
-        # sound dominance/infeasibility proof.
-        self.prune_skipped = 0
-        self.prune_predicted = 0
+        # Candidates the producing search discarded on a learned model's
+        # prediction alone (see _pruning_section).
         self.surrogate_skips = 0
         # Evaluation-context identity; set by the producing engine, required
         # by ``dmexplore merge`` to validate artefact compatibility.
@@ -432,12 +426,8 @@ class ResultDatabase:
                 "misses": self.store_misses,
                 "loaded": self.store_loaded,
             }
-        if self.prune_skipped or self.prune_predicted or self.surrogate_skips:
-            payload["pruning"] = {
-                "skipped": self.prune_skipped,
-                "predicted": self.prune_predicted,
-                "surrogate": self.surrogate_skips,
-            }
+        if self.surrogate_skips:
+            payload["pruning"] = self._pruning_section()
         if self.provenance is not None:
             payload["provenance"] = self.provenance.as_dict()
         if self.windows:
@@ -455,16 +445,22 @@ class ResultDatabase:
         database.store_hits = int(store.get("hits", 0))
         database.store_misses = int(store.get("misses", 0))
         database.store_loaded = int(store.get("loaded", 0))
-        pruning = payload.get("pruning", {})
-        database.prune_skipped = int(pruning.get("skipped", 0))
-        database.prune_predicted = int(pruning.get("predicted", 0))
-        database.surrogate_skips = int(pruning.get("surrogate", 0))
+        database.surrogate_skips = int(payload.get("pruning", {}).get("surrogate", 0))
         if "provenance" in payload:
             database.provenance = Provenance.from_dict(payload["provenance"])
         database.windows = payload.get("windows", {})
         for entry in payload.get("records", []):
             database.add(ExplorationRecord.from_dict(entry))
         return database
+
+    def _pruning_section(self) -> dict:
+        """The ``pruning`` section of the artefact and the summary.
+
+        It carries the surrogate strategy's model discards.  ``skipped`` and
+        ``predicted`` counted the retired dominance pruning; they stay as
+        literal zeros so surrogate artefacts keep their bytes.
+        """
+        return {"skipped": 0, "predicted": 0, "surrogate": self.surrogate_skips}
 
     def summary(self) -> dict:
         """Aggregate view used by reports: sizes, ranges, Pareto count."""
@@ -482,12 +478,8 @@ class ResultDatabase:
                 "misses": self.store_misses,
                 "loaded": self.store_loaded,
             }
-        if self.prune_skipped or self.prune_predicted or self.surrogate_skips:
-            data["pruning"] = {
-                "skipped": self.prune_skipped,
-                "predicted": self.prune_predicted,
-                "surrogate": self.surrogate_skips,
-            }
+        if self.surrogate_skips:
+            data["pruning"] = self._pruning_section()
         if not self.has_feasible:
             return data
         for key in metric_keys():
@@ -509,7 +501,7 @@ class StreamingResultView:
     and the front itself in memory: queries that need the records again
     re-iterate the source instead of caching them.
 
-    Execution metadata (cache/store/pruning counters, provenance) is zero /
+    Execution metadata (cache/store/surrogate counters, provenance) is zero /
     absent: a stream describes *results*, not how a particular run produced
     them.
     """
@@ -522,8 +514,6 @@ class StreamingResultView:
         self.store_hits = 0
         self.store_misses = 0
         self.store_loaded = 0
-        self.prune_skipped = 0
-        self.prune_predicted = 0
         self.surrogate_skips = 0
         self.provenance: Provenance | None = None
         self.windows: dict = {}

@@ -711,8 +711,8 @@ class ResultStore:
     def contains(self, fingerprint: str, point: dict) -> bool:
         """True when the store holds ``point`` — without touching counters.
 
-        For cheap "would this evaluation be free?" probes (dominance
-        pruning) that must not distort the hit/miss statistics.
+        For cheap "would this evaluation be free?" probes that must not
+        distort the hit/miss statistics.
         """
         return self._key(fingerprint, point) in self._entries
 

@@ -145,7 +145,7 @@ class NSGA2Search(EvolutionarySearch):
                 if self.rng.random() < self.mutation_rate:
                     child = self._mutate(child)
                 child_points.append(child)
-            offspring = self._step(self._prune_candidates(child_points), database)
+            offspring = self._step(child_points, database)
             if not offspring:
                 continue
             combined = list(population)

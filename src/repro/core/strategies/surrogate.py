@@ -18,12 +18,6 @@ ranked out by the model are counted (once per configuration) in
 ``surrogate_skips``: they were discarded on model prediction alone, without
 any dominance proof.
 
-With ``prune=True`` the sound discards run *first*: the candidate pool is
-filtered through :meth:`~repro.core.search.SearchStrategy._prune_candidates`,
-whose prefix replays (:meth:`~repro.core.exploration.ExplorationEngine.
-predict_point`) provide component-wise lower bounds — candidates provably
-infeasible or provably dominated never even reach the learned model.
-
 Model training draws only from the strategy's private seeded RNG and
 happens strictly between evaluation batches, so fixed-seed runs stay
 byte-identical across evaluation backends (and with or without numpy —
@@ -34,7 +28,7 @@ from __future__ import annotations
 
 from ..exploration import ExplorationEngine
 from ..results import ExplorationRecord, ResultDatabase
-from ..search import DEFAULT_PRUNE_FRACTION, SearchBudget, SearchStrategy
+from ..search import SearchBudget, SearchStrategy
 from .forest import RandomForest
 from .nsga2 import crowded_order
 
@@ -58,10 +52,8 @@ class SurrogateSearch(SearchStrategy):
         surrogate_fraction: float = 0.125,
         trees: int = 12,
         depth: int = 6,
-        prune: bool = False,
-        prune_fraction: float = DEFAULT_PRUNE_FRACTION,
     ) -> None:
-        super().__init__(engine, budget, metrics, prune, prune_fraction)
+        super().__init__(engine, budget, metrics)
         if initial <= 0 or candidates <= 0:
             raise ValueError("initial and candidates must be positive")
         if not 0.0 < surrogate_fraction <= 1.0:
@@ -156,9 +148,6 @@ class SurrogateSearch(SearchStrategy):
             pool = self._draw_pool()
             if not pool:
                 break
-            # Sound discards first: prefix lower bounds prove infeasibility
-            # or dominance before the learned model spends its guesswork.
-            pool = self._prune_candidates(pool)
             forests = self._train(self._members())
             if forests is None:
                 chosen = pool[: self.batch_size]

@@ -25,7 +25,7 @@ import math
 from ..exploration import ExplorationEngine
 from ..pareto import pareto_rank
 from ..results import ExplorationRecord, ResultDatabase
-from ..search import DEFAULT_PRUNE_FRACTION, SearchBudget, SearchStrategy
+from ..search import SearchBudget, SearchStrategy
 
 
 class TPESearch(SearchStrategy):
@@ -42,10 +42,8 @@ class TPESearch(SearchStrategy):
         batch: int = 8,
         candidates: int = 64,
         gamma: float = 0.25,
-        prune: bool = False,
-        prune_fraction: float = DEFAULT_PRUNE_FRACTION,
     ) -> None:
-        super().__init__(engine, budget, metrics, prune, prune_fraction)
+        super().__init__(engine, budget, metrics)
         if startup <= 0 or batch <= 0 or candidates <= 0:
             raise ValueError("startup, batch and candidates must be positive")
         if not 0.0 < gamma < 1.0:
@@ -153,4 +151,4 @@ class TPESearch(SearchStrategy):
                     # The model only reproduces known points: fall back to
                     # uniform sampling for one round to regain diversity.
                     proposals = [self._random_point() for _ in range(self.batch)]
-            self._step(self._prune_candidates(proposals), database)
+            self._step(proposals, database)

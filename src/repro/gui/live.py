@@ -5,9 +5,9 @@ that makes long local and distributed sweeps observable while they run:
 it maintains an incremental Pareto front, per-metric value ranges and an
 evaluation rate from the record stream, and — when the experiment layer
 attaches them — mirrors the engine's memo/store counters and the search
-strategy's prune counters.  A compact status block is redrawn in place on
-a TTY (ANSI cursor movement) and emitted as single status lines on any
-other stream, at most once per ``interval`` seconds.
+strategy's surrogate-skip counter.  A compact status block is redrawn in
+place on a TTY (ANSI cursor movement) and emitted as single status lines
+on any other stream, at most once per ``interval`` seconds.
 
 The dashboard writes to *stderr* by default, so the artefact bytes a run
 prints or saves stay untouched — attaching the dashboard never changes
@@ -85,7 +85,7 @@ class LiveDashboardSink:
         self._engine = engine
 
     def attach_strategy(self, strategy) -> None:
-        """Mirror ``strategy``'s dominance-prune counters live."""
+        """Mirror ``strategy``'s surrogate-skip counter live."""
         self._strategy = strategy
 
     def attach_windows(self, analysis) -> None:
@@ -148,13 +148,8 @@ class LiveDashboardSink:
                     f"(loaded {engine.store.loaded})"
                 )
         strategy = self._strategy
-        if strategy is not None:
-            counters.append(
-                f"pruned {strategy.prune_skipped}"
-                f"+{strategy.prune_predicted} predicted"
-            )
-            if getattr(strategy, "surrogate_skips", 0):
-                counters.append(f"surrogate {strategy.surrogate_skips}")
+        if strategy is not None and strategy.surrogate_skips:
+            counters.append(f"surrogate {strategy.surrogate_skips}")
         if counters:
             lines.append("counters: " + " | ".join(counters))
         if self._windows is not None:

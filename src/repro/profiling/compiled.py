@@ -5,7 +5,7 @@ Python object traversal per event: an attribute load for the kind, a
 property call for ``is_alloc``, another load for the size.  Over the tens of
 thousands of events of a realistic trace, and the thousands of
 configurations of an exploration, that bookkeeping dominates the profiling
-step — the very cost the DATE'06 flow parallelises and prunes around.
+step — the very cost the DATE'06 flow parallelises around.
 
 :class:`CompiledTrace` lowers the event stream *once* into flat parallel
 arrays (kind, size, request id, timestamp) plus a precomputed *slot* column
@@ -180,28 +180,6 @@ class CompiledTrace:
             + self.timestamps.itemsize * len(self.timestamps)
             + self.slots.itemsize * len(self.slots)
             + self.slot_sizes.itemsize * len(self.slot_sizes)
-        )
-
-    def prefix(self, count: int) -> "CompiledTrace":
-        """The first ``count`` events, sliced from the columns.
-
-        Equal column for column to compiling those events (slots number the
-        allocations in stream order), except that :attr:`has_live_rebinding`
-        keeps this trace's flag: conservative, a flagged prefix replays
-        through the event loop.  The prefix carries no fingerprint.
-        """
-        slot_count = self.kinds[:count].count(ALLOC_CODE)
-        return CompiledTrace(
-            kinds=self.kinds[:count],
-            sizes=self.sizes[:count],
-            request_ids=self.request_ids[:count],
-            timestamps=self.timestamps[:count],
-            slots=self.slots[:count],
-            slot_sizes=self.slot_sizes[:slot_count],
-            slot_count=slot_count,
-            has_live_rebinding=self.has_live_rebinding,
-            name=self.name,
-            slot_base=self.slot_base,
         )
 
     def events(self) -> list[AllocationEvent]:

@@ -205,14 +205,9 @@ class AllocationTrace:
         result-store key and of result-artefact provenance.
 
         The hash is computed by the compile pass and cached with
-        :meth:`compiled`; :meth:`append`/:meth:`extend` invalidate it.  A
-        compiled form without a fingerprint (a
-        :meth:`~repro.profiling.compiled.CompiledTrace.prefix`) is
-        recompiled from its events on demand.
+        :meth:`compiled`; :meth:`append`/:meth:`extend` invalidate it.
         """
-        if not self.compiled().fingerprint:
-            self._compiled = compile_trace(self.events, name=self.name)
-        return self._compiled.fingerprint
+        return self.compiled().fingerprint
 
     # -- statistics -----------------------------------------------------------
 

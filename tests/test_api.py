@@ -23,11 +23,69 @@ from repro.api import (
     run_experiment,
 )
 from repro.cli import build_parser, main
-from repro.core.search import (
-    DEFAULT_PRUNE_FRACTION,
-    DEFAULT_SEARCH_BUDGET,
-    SearchStrategy,
-)
+from repro.core.search import DEFAULT_SEARCH_BUDGET, SearchStrategy
+
+#: ``ExperimentSpec().spec_hash()`` and the ``vtc`` workload x ``vtc`` space,
+#: seed 1 hash, as every artefact and store entry written so far records
+#: them.  A change to either breaks provenance and shard-merge compatibility.
+DEFAULT_SPEC_HASH = "382651223df15fd314f474202ad6cf9cc966884d2b525beaf0cb3e88106f64f4"
+VTC_SPEC_HASH = "4a87bf287670a93b181ef92ce0d9dfb112879bab75904d328da19ce142013cd7"
+
+#: ``dmexplore spec`` output from before dominance pruning was removed, verbatim.
+LEGACY_SPEC_DOCUMENT = """\
+{
+  "//": "dmexplore experiment - edit and run with: dmexplore run FILE",
+  "spec_version": 1,
+  "//workload": "registry: bursty, diurnal, easyport, requests, sessions, uniform, vtc",
+  "workload": {
+    "name": "easyport"
+  },
+  "//space": "registry: compact, default, easyport, smoke, vtc",
+  "space": {
+    "name": "compact"
+  },
+  "//hierarchy": "registry: 2level, 3level",
+  "hierarchy": {
+    "name": "2level"
+  },
+  "//energy": "analytic energy/time model; params override its constants",
+  "energy": {
+    "name": "default"
+  },
+  "//strategy": "registry: evolutionary, exhaustive, hillclimb, nsga2, random, surrogate, tpe; heuristic strategies take params.budget (evaluation budget)",
+  "strategy": {
+    "name": "exhaustive"
+  },
+  "//backend": "registry: process, serial",
+  "backend": {
+    "name": "serial"
+  },
+  "//store": "'jsonl'/'binary' persist evaluations (params: path, auto_compact; null path = ~/.cache)",
+  "store": {
+    "name": "none"
+  },
+  "//sink": "registry: dashboard, none, pareto",
+  "sink": {
+    "name": "none"
+  },
+  "//serve": "distributed service settings for 'dmexplore serve' (params: host, port, lease_size, lease_timeout)",
+  "serve": {
+    "name": "tcp"
+  },
+  "//seed": "workload generation seed (also seeds heuristic searches)",
+  "seed": 2006,
+  "//metrics": "null = all of: accesses, footprint, energy_nj, cycles",
+  "metrics": null,
+  "//sample": "random-sample N points instead of exhaustive (null = off)",
+  "sample": null,
+  "sample_seed": 0,
+  "//shard": "'K/N' evaluates one slice of the enumeration ('' = all)",
+  "shard": "",
+  "//prune": "heuristic strategies: skip dominated candidates early",
+  "prune": false,
+  "prune_fraction": 0.25
+}
+"""
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -47,8 +105,6 @@ class TestSpecRoundTrip:
             strategy=ComponentRef("random", {"budget": 16}),
             metrics=("accesses", "footprint"),
             sample=7,
-            prune=True,
-            prune_fraction=0.5,
         )
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
@@ -149,13 +205,23 @@ class TestSpecValidation:
                 shard="1/2", strategy=ComponentRef("random")
             ).validate()
 
-    def test_prune_rejected_for_exhaustive(self):
-        with pytest.raises(SpecError, match="prune"):
-            small_spec(prune=True).validate()
+    @pytest.mark.parametrize("value", [True, 1, "yes"])
+    def test_prune_other_than_false_is_refused(self, value):
+        data = small_spec().to_dict()
+        data["prune"] = value
+        with pytest.raises(SpecError, match="^prune: "):
+            ExperimentSpec.from_dict(data)
 
-    def test_prune_fraction_range(self):
-        with pytest.raises(SpecError, match="prune_fraction"):
-            small_spec(prune_fraction=1.5).validate()
+    def test_retired_prune_fraction_is_ignored(self):
+        # ``prune_fraction`` never changed an unpruned run, so any value a
+        # ``prune: false`` document carries parses to the same experiment.
+        data = small_spec().to_dict()
+        assert "prune" not in data and "prune_fraction" not in data
+        data.update(prune=False, prune_fraction=0.5)
+        spec = ExperimentSpec.from_dict(data)
+        assert spec == small_spec()
+        assert spec.spec_hash() == small_spec().spec_hash()
+        assert "prune_fraction" not in spec.to_dict()
 
     def test_unknown_store_kind(self):
         with pytest.raises(SpecError, match="store.name"):
@@ -172,6 +238,20 @@ class TestSpecValidation:
 
 
 class TestSpecHash:
+    def test_default_spec_hash_is_pinned(self):
+        assert ExperimentSpec().spec_hash() == DEFAULT_SPEC_HASH
+
+    def test_vtc_spec_hash_is_pinned(self):
+        spec = ExperimentSpec(
+            workload=ComponentRef("vtc"), space=ComponentRef("vtc"), seed=1
+        )
+        assert spec.spec_hash() == VTC_SPEC_HASH
+
+    def test_legacy_spec_document_keeps_its_hash(self):
+        spec = ExperimentSpec.from_json(LEGACY_SPEC_DOCUMENT).validate()
+        assert spec == ExperimentSpec()
+        assert spec.spec_hash() == DEFAULT_SPEC_HASH
+
     def test_hash_is_execution_independent(self):
         base = small_spec()
         assert base.spec_hash() == small_spec(shard="1/3").spec_hash()
@@ -294,10 +374,10 @@ class TestOverrides:
 
     def test_override_values_parse_as_json_else_string(self):
         data = ExperimentSpec().to_dict()
-        apply_overrides(data, ["shard=1/2", "prune=true", "sample=5"])
+        apply_overrides(data, ["shard=1/2", 'metrics=["accesses"]', "sample=5"])
         spec = ExperimentSpec.from_dict(data)
         assert spec.shard == "1/2"  # not JSON -> kept as string
-        assert spec.prune is True
+        assert spec.metrics == ("accesses",)
         assert spec.sample == 5
 
     def test_malformed_override_rejected(self):
@@ -441,8 +521,6 @@ class TestCliDefaultsDerived:
         assert args.sample == spec.sample
         assert args.strategy == spec.strategy.name
         assert args.budget == DEFAULT_SEARCH_BUDGET
-        assert args.prune == spec.prune
-        assert args.prune_fraction == spec.prune_fraction
         assert args.shard == (spec.shard or None)
 
     def test_report_defaults_come_from_the_spec(self):
@@ -458,8 +536,6 @@ class TestCliDefaultsDerived:
         """The chain core -> spec -> CLI has one definition per default."""
         from repro.core.search import SearchBudget
 
-        spec = ExperimentSpec()
-        assert spec.prune_fraction == DEFAULT_PRUNE_FRACTION
         assert SearchBudget().evaluations == DEFAULT_SEARCH_BUDGET
 
     def test_parser_choices_read_the_registries(self):

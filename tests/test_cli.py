@@ -244,6 +244,80 @@ class TestRunCommand:
         assert document["strategy"]["name"] == "random"
         assert document["workload"]["params"] == {"operations": 300}
 
+    @pytest.mark.parametrize("where", ["document", "override"])
+    def test_prune_true_is_refused(self, tmp_path, capsys, where):
+        """Dominance pruning was removed: asking for it is a one-line error."""
+        spec_path = self.spec_file(tmp_path, strategy={"name": "random"})
+        out = tmp_path / "out.json"
+        args = ["run", str(spec_path), "--out", str(out)]
+        if where == "document":
+            document = json.loads(spec_path.read_text())
+            document["prune"] = True
+            spec_path.write_text(json.dumps(document))
+        else:
+            args += ["--set", "prune=true"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: prune:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_explore_prune_flag_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explore", "--prune"])
+        assert exit_info.value.code == 2
+        assert "--prune" in capsys.readouterr().err
+
+    def test_explore_prune_fraction_flag_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explore", "--prune-fraction", "0.5"])
+        assert exit_info.value.code == 2
+        assert "--prune-fraction" in capsys.readouterr().err
+
+    def test_legacy_spec_with_prune_false_matches_explore(self, tmp_path, capsys):
+        """A spec written before pruning was removed runs a heuristic search
+        to the same artefact bytes as the matching flag invocation."""
+        spec_path = tmp_path / "legacy-spec.json"
+        assert main(["spec", "--out", str(spec_path)]) == 0
+        document = json.loads(spec_path.read_text())
+        document.update(prune=False, prune_fraction=0.25)
+        spec_path.write_text(json.dumps(document, indent=2))
+        run_out = tmp_path / "run.json"
+        overrides = [
+            "workload.name=uniform",
+            "space.name=smoke",
+            "seed=1",
+            "strategy.name=random",
+            "strategy.params.budget=6",
+        ]
+        args = ["run", str(spec_path), "--out", str(run_out)]
+        for override in overrides:
+            args += ["--set", override]
+        assert main(args) == 0
+        flag_out = tmp_path / "flags.json"
+        assert (
+            main(
+                [
+                    "explore",
+                    "--workload",
+                    "uniform",
+                    "--space",
+                    "smoke",
+                    "--seed",
+                    "1",
+                    "--strategy",
+                    "random",
+                    "--budget",
+                    "6",
+                    "--out",
+                    str(flag_out),
+                ]
+            )
+            == 0
+        )
+        assert run_out.read_bytes() == flag_out.read_bytes()
+
     def test_missing_file_is_a_clean_error(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
         assert "cannot read" in capsys.readouterr().err

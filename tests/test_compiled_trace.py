@@ -195,43 +195,3 @@ def columns(compiled):
         "has_live_rebinding": compiled.has_live_rebinding,
         "name": compiled.name,
     }
-
-
-class TestPrefix:
-    def test_every_prefix_equals_compiling_the_first_events(self):
-        from repro.workloads.easyport import EasyportWorkload
-
-        trace = EasyportWorkload(packets=30).generate(seed=3)
-        whole = trace.compiled()
-        events = trace.events
-        for count in range(len(trace) + 1):
-            expected = compile_trace(events[:count], name=trace.name)
-            assert columns(whole.prefix(count)) == columns(expected), count
-
-    def test_malformed_prefix_keeps_the_parent_flag(self):
-        # The re-binding happens at event 2, after a 2-event prefix: compiling
-        # the prefix alone would clear the flag, slicing keeps it (the
-        # prefix then replays through the event loop, which stays correct).
-        trace = AllocationTrace([alloc(0, 8, 0), free(1, 1), alloc(0, 8, 2)])
-        whole = trace.compiled()
-        assert whole.has_live_rebinding
-        head = whole.prefix(2)
-        assert head.has_live_rebinding
-        assert not compile_trace(trace.events[:2]).has_live_rebinding
-        expected = columns(compile_trace(trace.events[:2]))
-        expected["has_live_rebinding"] = True
-        assert columns(head) == expected
-
-    def test_prefix_fingerprint_recompiles_its_events(self):
-        trace = simple_trace()
-        head = AllocationTrace.from_compiled(trace.compiled().prefix(3))
-        assert head.compiled().fingerprint == ""
-        expected = AllocationTrace(trace.events[:3]).fingerprint()
-        assert head.fingerprint() == expected
-        assert head.compiled().fingerprint == expected
-
-    def test_prefix_needs_no_events(self):
-        lazy = AllocationTrace.from_compiled(simple_trace().compiled())
-        head = AllocationTrace.from_compiled(lazy.compiled().prefix(3))
-        assert len(head) == 3
-        assert lazy._events is None and head._events is None

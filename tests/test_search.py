@@ -15,7 +15,6 @@ from repro.core.search import (
 from repro.core.space import compact_parameter_space, smoke_parameter_space
 from repro.profiling.metrics import MetricSet
 from repro.workloads.easyport import EasyportWorkload
-from repro.workloads.synthetic import UniformRandomWorkload
 
 
 @pytest.fixture(scope="module")
@@ -154,99 +153,3 @@ class TestSearchInternals:
         before = search.evaluations_used
         search._evaluate(point, database)
         assert search.evaluations_used == before
-
-
-class TestDominancePruning:
-    """Acceptance: pruning skips >0 evaluations on the standard (compact)
-    space without changing the final Pareto front."""
-
-    def _run(self, prune, seed=3):
-        trace = UniformRandomWorkload(operations=300).generate(seed=7)
-        engine = ExplorationEngine(compact_parameter_space(), trace)
-        search = RandomSearch(
-            engine, SearchBudget(evaluations=64, seed=seed), prune=prune
-        )
-        return search, search.run()
-
-    def test_pruned_front_equals_unpruned_front_with_skips(self):
-        # Random search draws the identical candidate sample with and
-        # without pruning, so front preservation is exactly testable.
-        trace = UniformRandomWorkload(operations=300).generate(seed=7)
-        for seed in (0, 3):
-            results = {}
-            for prune in (False, True):
-                engine = ExplorationEngine(compact_parameter_space(), trace)
-                search = RandomSearch(
-                    engine, SearchBudget(evaluations=64, seed=seed), prune=prune
-                )
-                database = search.run()
-                results[prune] = (search, database)
-            unpruned_front = sorted(
-                r.configuration_id for r in results[False][1].pareto_records()
-            )
-            pruned_search, pruned_db = results[True]
-            pruned_front = sorted(
-                r.configuration_id for r in pruned_db.pareto_records()
-            )
-            assert pruned_front == unpruned_front
-            assert pruned_search.prune_skipped > 0
-            assert pruned_search.prune_predicted > 0
-            assert len(pruned_db) < len(results[False][1])
-
-    def test_counters_surface_on_database_summary_json_and_report(self, tmp_path):
-        search, database = self._run(prune=True)
-        assert database.prune_skipped == search.prune_skipped > 0
-        assert database.prune_predicted == search.prune_predicted > 0
-        summary = database.summary()
-        assert summary["pruning"] == {
-            "skipped": search.prune_skipped,
-            "predicted": search.prune_predicted,
-            "surrogate": search.surrogate_skips,
-        }
-        # Surrogate (quorum) skips are a subset of all skips.
-        assert 0 <= search.surrogate_skips <= search.prune_skipped
-        assert database.surrogate_skips == search.surrogate_skips
-        path = tmp_path / "db.json"
-        database.to_json(path)
-        from repro.core.results import ResultDatabase
-
-        loaded = ResultDatabase.from_json(path)
-        assert loaded.prune_skipped == search.prune_skipped
-        assert loaded.prune_predicted == search.prune_predicted
-        assert loaded.surrogate_skips == search.surrogate_skips
-        from repro.core.reporting import exploration_report
-
-        report = exploration_report(database)
-        assert (
-            f"Dominance pruning: {search.prune_skipped} of "
-            f"{search.prune_predicted} predicted candidates skipped"
-        ) in report
-
-    def test_no_pruning_means_no_counters(self):
-        search, database = self._run(prune=False)
-        assert search.prune_skipped == 0
-        assert search.prune_predicted == 0
-        assert "pruning" not in database.summary()
-
-    def test_known_points_are_never_predicted(self, exhaustive_reference):
-        # Every smoke-space point is memoised by the shared engine, so a
-        # pruning search over the same space must not spend predictions.
-        engine, _ = exhaustive_reference
-        search = RandomSearch(engine, SearchBudget(evaluations=8, seed=2), prune=True)
-        search.run()
-        assert search.prune_predicted == 0
-        assert search.prune_skipped == 0
-
-    def test_invalid_prune_fraction_rejected(self, engine):
-        with pytest.raises(ValueError):
-            RandomSearch(engine, SearchBudget(evaluations=4), prune=True, prune_fraction=1.5)
-
-    def test_predict_point_is_a_lower_bound(self, engine):
-        # Metric accumulation over the trace is monotone, so the prefix
-        # vector must never exceed the full vector on any objective.
-        for index in (0, 17, 63):
-            point = engine.space.point_at(index)
-            record = engine.evaluate_point(point)
-            partial, _oom = engine.predict_point(point, fraction=0.25)
-            full = record.metric_vector()
-            assert all(p <= f for p, f in zip(partial, full)), (partial, full)

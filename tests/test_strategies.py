@@ -6,13 +6,14 @@ strategy-level contracts all three new strategies share: budget respect,
 fixed-seed determinism, and the ``surrogate_skips`` accounting.
 """
 
+import json
 import random
 
 import pytest
 
 from repro.core.exploration import ExplorationEngine
 from repro.core.pareto import non_dominated, pareto_rank
-from repro.core.search import SearchBudget
+from repro.core.search import RandomSearch, SearchBudget
 from repro.core.space import compact_parameter_space
 from repro.core.strategies import (
     NSGA2Search,
@@ -280,7 +281,7 @@ class TestStrategyContracts:
 
 
 class TestSurrogateSkipAccounting:
-    def run_surrogate(self, trace, prune=False):
+    def run_surrogate(self, trace):
         engine = make_engine(trace)
         search = SurrogateSearch(
             engine,
@@ -290,18 +291,20 @@ class TestSurrogateSkipAccounting:
             surrogate_fraction=0.25,
             trees=4,
             depth=3,
-            prune=prune,
         )
         return search, search.run()
 
     def test_model_discards_count_as_surrogate_skips_only(self, trace):
-        # Without pruning there is no prefix profiling at all, so every
-        # skip recorded must come from the learned model.
+        # Every skip comes from the learned model; the section's two
+        # retired keys stay as literal zeros so artefacts keep their bytes.
         search, database = self.run_surrogate(trace)
         assert search.surrogate_skips > 0
-        assert search.prune_skipped == 0
-        assert search.prune_predicted == 0
         assert database.surrogate_skips == search.surrogate_skips
+        assert database.summary()["pruning"] == {
+            "skipped": 0,
+            "predicted": 0,
+            "surrogate": search.surrogate_skips,
+        }
 
     def test_surrogate_skips_surface_everywhere(self, trace, tmp_path):
         from repro.core.reporting import exploration_report
@@ -317,6 +320,43 @@ class TestSurrogateSkipAccounting:
         report = exploration_report(database)
         assert f"Surrogate skips: {search.surrogate_skips}" in report
 
+    def test_surrogate_artefact_round_trips_byte_identically(self, trace, tmp_path):
+        from repro.core.results import ResultDatabase
+
+        search, database = self.run_surrogate(trace)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        database.to_json(first)
+        ResultDatabase.from_json(first).to_json(second)
+        assert first.read_bytes() == second.read_bytes()
+        section = json.loads(first.read_text())["pruning"]
+        assert list(section.items()) == [
+            ("skipped", 0),
+            ("predicted", 0),
+            ("surrogate", search.surrogate_skips),
+        ]
+
+    def test_pruned_artefact_from_before_the_removal_still_loads(
+        self, trace, tmp_path
+    ):
+        # Artefacts of pruned runs carry non-zero retired counters; they
+        # load with their records intact and only the surrogate count kept.
+        from repro.core.results import ResultDatabase
+
+        database = RandomSearch(
+            make_engine(trace), SearchBudget(evaluations=12, seed=4)
+        ).run()
+        path = tmp_path / "pruned.json"
+        database.to_json(path)
+        payload = json.loads(path.read_text())
+        payload["pruning"] = {"skipped": 5, "predicted": 30, "surrogate": 0}
+        path.write_text(json.dumps(payload, indent=2))
+        loaded = ResultDatabase.from_json(path)
+        assert [r.as_dict() for r in loaded.records] == [
+            r.as_dict() for r in database.records
+        ]
+        assert loaded.surrogate_skips == 0
+        assert "pruning" not in loaded.summary()
+
     def test_dashboard_shows_surrogate_counter(self, trace):
         import io
 
@@ -329,6 +369,30 @@ class TestSurrogateSkipAccounting:
             f"surrogate {search.surrogate_skips}" in line
             for line in sink.status_lines()
         )
+
+    @pytest.mark.parametrize("cls", [RandomSearch, NSGA2Search, TPESearch])
+    def test_other_strategies_show_no_skip_text(self, trace, tmp_path, cls):
+        import io
+
+        from repro.core.reporting import exploration_report
+        from repro.gui.live import LiveDashboardSink
+
+        engine = make_engine(trace)
+        search = cls(engine, SearchBudget(evaluations=12, seed=4))
+        sink = LiveDashboardSink(interval=0.0, stream=io.StringIO())
+        sink.attach_engine(engine)
+        sink.attach_strategy(search)
+        database = search.run(sink=sink)
+        [counters] = [
+            line for line in sink.status_lines() if line.startswith("counters: ")
+        ]
+        assert counters == f"counters: memo 0/{engine.cache_misses}"
+        report = exploration_report(database)
+        assert "prun" not in report.lower()
+        assert "Surrogate skips" not in report
+        assert "pruning" not in database.summary()
+        database.to_json(tmp_path / "db.json")
+        assert '"pruning"' not in (tmp_path / "db.json").read_text()
 
     def test_experiment_counters_include_surrogate_skips(self):
         from repro.api import ComponentRef, Experiment, ExperimentSpec
