@@ -52,15 +52,17 @@ bench-stream:
 bench-stream-full:
 	BENCH_STREAM_FULL=1 $(RUN) -m pytest benchmarks/test_stream_scale.py -q -s
 
-# Search-quality benchmark: the surrogate portfolio's hypervolume-vs-
-# evaluations curves against the exhaustive ground truth, with hard gates
-# (every strategy >= 95% HV at a 5% budget, portfolio best at 1%);
-# writes the git-ignored BENCH_search.quick.json.
+# Search-quality benchmark: the search portfolio's hypervolume-vs-
+# evaluations curves against the exhaustive ground truth (plus front-ref
+# hypervolume and front recall), with hard gates (nsga2 and tpe >= 95% HV
+# at a 5% budget, portfolio best at 1%); writes the git-ignored
+# BENCH_search.quick.json.
 bench-search:
 	$(RUN) -m pytest benchmarks/test_search_quality.py -q -s
 
-# Same, additionally grinding the real VTC decoder trace through the
-# protocol (full exhaustive sweep of its 6480-point space).
+# Same, additionally grinding the real VTC decoder trace and the bursty and
+# sessions workloads through the protocol (a full exhaustive sweep of the
+# 6480-point space for each); writes the tracked BENCH_search.json.
 bench-search-full:
 	BENCH_SEARCH_FULL=1 $(RUN) -m pytest benchmarks/test_search_quality.py -q -s
 
@@ -176,8 +178,10 @@ verify-cluster:
 # to the equivalent legacy `dmexplore explore` flag invocation — for the
 # exhaustive and one heuristic strategy.  A document still carrying the
 # retired `"prune": false, "prune_fraction": 0.25` keys must run to the
-# same bytes, and `--set prune=true` must exit 2 without an artefact.  CI
-# runs the same flow.
+# same bytes, and `--set prune=true` must exit 2 without an artefact.  The
+# retired `hillclimb` and `surrogate` strategies run nsga2: given one of
+# their old params they exit 2 with one line and no artefact, and a
+# budget-only run records what nsga2 records.  CI runs the same flow.
 SPEC_DIR := .spec-demo
 verify-spec:
 	rm -rf $(SPEC_DIR) && mkdir -p $(SPEC_DIR)
@@ -208,8 +212,31 @@ verify-spec:
 	  --out $(SPEC_DIR)/pruned.json 2> $(SPEC_DIR)/prune.err; test $$? -eq 2
 	test ! -e $(SPEC_DIR)/pruned.json
 	grep -q '^error: prune:' $(SPEC_DIR)/prune.err
+	for row in surrogate:trees hillclimb:neighbours_per_step; do \
+	  name=$${row%%:*}; param=$${row#*:}; \
+	  $(RUN) -m repro run $(SPEC_DIR)/experiment.json \
+	    --set workload.name=uniform --set space.name=smoke \
+	    --set strategy.name=$$name --set strategy.params.$$param=10 \
+	    --out $(SPEC_DIR)/$$name.json 2> $(SPEC_DIR)/$$name.err; \
+	  test $$? -eq 2 || exit 1; \
+	  test ! -e $(SPEC_DIR)/$$name.json || exit 1; \
+	  test $$(wc -l < $(SPEC_DIR)/$$name.err) -eq 1 || exit 1; \
+	  grep -q "'$$name'.*$$param" $(SPEC_DIR)/$$name.err || exit 1; \
+	  ! grep -q Traceback $(SPEC_DIR)/$$name.err || exit 1; \
+	done
+	$(RUN) -m repro explore --workload uniform --space compact --seed 1 \
+	  --strategy nsga2 --budget 64 --out $(SPEC_DIR)/flags-nsga2.json
+	$(RUN) -m repro explore --workload uniform --space compact --seed 1 \
+	  --strategy hillclimb --budget 64 --out $(SPEC_DIR)/flags-hillclimb.json
+	$(RUN) -m repro run $(SPEC_DIR)/experiment.json \
+	  --set workload.name=uniform --set space.name=compact --set seed=1 \
+	  --set strategy.name=surrogate --set strategy.params.budget=64 \
+	  --out $(SPEC_DIR)/run-surrogate.json
+	$(RUN) -c 'import json, sys; a, *rest = (json.load(open(p)) for p in sys.argv[1:]); assert all((b["name"], b["records"]) == (a["name"], a["records"]) for b in rest), "a retired strategy did not run nsga2"' \
+	  $(SPEC_DIR)/flags-nsga2.json $(SPEC_DIR)/flags-hillclimb.json $(SPEC_DIR)/run-surrogate.json
 	@echo "spec-driven runs reproduce the flag invocations byte-identically"
 	@echo "a spec carrying the retired prune keys runs unchanged; prune=true exits 2"
+	@echo "the retired hillclimb and surrogate names run nsga2; their old params exit 2"
 	rm -rf $(SPEC_DIR)
 
 .PHONY: verify bench bench-diff bench-eval bench-eval-full bench-store bench-store-full bench-stream bench-stream-full bench-search bench-search-full verify-docs verify-bench verify-shards verify-cluster verify-spec verify-store verify-stream

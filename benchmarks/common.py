@@ -111,19 +111,32 @@ def print_table(title: str, rows: list[tuple], header: tuple) -> None:
         print("  ".join(str(row[col]).ljust(widths[col]) for col in range(len(header))))
 
 
-def bench_environment() -> dict:
-    """The machine and code a BENCH document was measured on."""
+def _git(*args: str) -> str | None:
+    """Stdout of a git command run in the repository, or None outside git."""
     try:
         completed = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,
             check=True,
         )
-        git_sha = completed.stdout.strip() or None
     except (OSError, subprocess.CalledProcessError):
-        git_sha = None
+        return None
+    return completed.stdout
+
+
+def bench_environment() -> dict:
+    """The machine and code a BENCH document was measured on.
+
+    ``git_dirty`` is True when tracked files differ from ``git_sha`` (a
+    ledger measured before its own commit names the parent's sha, plus
+    this flag); untracked files do not count.  Both are None outside git.
+    """
+    head = _git("rev-parse", "HEAD")
+    git_sha = (head or "").strip() or None
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    git_dirty = bool(status.strip()) if status is not None else None
     try:
         import numpy
 
@@ -132,6 +145,7 @@ def bench_environment() -> dict:
         numpy_version = None
     return {
         "git_sha": git_sha,
+        "git_dirty": git_dirty,
         "python": platform.python_version(),
         "numpy": numpy_version,
         "cpu_count": os.cpu_count(),

@@ -79,14 +79,13 @@ class RunResult:
 
     @property
     def counters(self) -> dict:
-        """Cache/store/surrogate execution counters of the run."""
+        """Cache/store execution counters of the run."""
         return {
             "cache_hits": self.database.cache_hits,
             "cache_misses": self.database.cache_misses,
             "store_hits": self.database.store_hits,
             "store_misses": self.database.store_misses,
             "store_loaded": self.database.store_loaded,
-            "surrogate_skips": self.database.surrogate_skips,
         }
 
     def pareto_records(self, metrics: list[str] | None = None):

@@ -154,7 +154,7 @@ def _cached_copy(record: ExplorationRecord, label: str) -> ExplorationRecord:
     """Copy a memoised record for a repeat caller, honouring *their* label.
 
     The cached record carries the label of whoever profiled the point first
-    (e.g. ``hillclimb_000012``); a later caller submitting its own label
+    (e.g. ``nsga2_000012``); a later caller submitting its own label
     (e.g. ``evolutionary_000012``) must not record the point under the
     first caller's identity.  The copy also protects the cache from
     :meth:`ResultDatabase.add` assigning ``record.index`` in place.

@@ -132,11 +132,6 @@ class IncrementalParetoFront(Generic[T]):
         """Metric vectors of the current members, aligned with :meth:`items`."""
         return list(self._vectors)
 
-    def dominates(self, vector: Sequence[float]) -> bool:
-        """True when some current member dominates ``vector``."""
-        candidate = tuple(vector)
-        return any(dominates(member, candidate) for member in self._vectors)
-
     def add(self, item: T, vector: Sequence[float] | None = None) -> bool:
         """Offer one item to the front; returns True when it was accepted.
 

@@ -109,9 +109,9 @@ def exploration_report(
 
     Works identically on an in-memory :class:`ResultDatabase` and on a
     :class:`StreamingResultView` over a persistent store — everything the
-    report body states is a pure function of the records; the
-    cache/store/surrogate counter lines only appear when the database carries
-    that execution metadata.
+    report body states is a pure function of the records; the cache/store
+    counter lines only appear when the database carries that execution
+    metadata.
 
     ``metrics`` restricts which metrics the table, the listing and the knee
     description emit (all four by default); ``pareto_metrics`` (defaulting
@@ -141,11 +141,6 @@ def exploration_report(
             f"Result store: {database.store_hits} hits, "
             f"{database.store_misses} misses, "
             f"{database.store_loaded} entries loaded from disk"
-        )
-    if database.surrogate_skips:
-        lines.append(
-            f"Surrogate skips: {database.surrogate_skips} candidates discarded on "
-            "model prediction alone (no dominance proof)"
         )
     if database.provenance is not None and database.provenance.shard:
         lines.append(f"Shard: {database.provenance.shard} of the enumeration")

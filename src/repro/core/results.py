@@ -264,9 +264,6 @@ class ResultDatabase:
         self.store_hits = 0
         self.store_misses = 0
         self.store_loaded = 0
-        # Candidates the producing search discarded on a learned model's
-        # prediction alone (see _pruning_section).
-        self.surrogate_skips = 0
         # Evaluation-context identity; set by the producing engine, required
         # by ``dmexplore merge`` to validate artefact compatibility.
         self.provenance: Provenance | None = None
@@ -426,8 +423,6 @@ class ResultDatabase:
                 "misses": self.store_misses,
                 "loaded": self.store_loaded,
             }
-        if self.surrogate_skips:
-            payload["pruning"] = self._pruning_section()
         if self.provenance is not None:
             payload["provenance"] = self.provenance.as_dict()
         if self.windows:
@@ -445,22 +440,12 @@ class ResultDatabase:
         database.store_hits = int(store.get("hits", 0))
         database.store_misses = int(store.get("misses", 0))
         database.store_loaded = int(store.get("loaded", 0))
-        database.surrogate_skips = int(payload.get("pruning", {}).get("surrogate", 0))
         if "provenance" in payload:
             database.provenance = Provenance.from_dict(payload["provenance"])
         database.windows = payload.get("windows", {})
         for entry in payload.get("records", []):
             database.add(ExplorationRecord.from_dict(entry))
         return database
-
-    def _pruning_section(self) -> dict:
-        """The ``pruning`` section of the artefact and the summary.
-
-        It carries the surrogate strategy's model discards.  ``skipped`` and
-        ``predicted`` counted the retired dominance pruning; they stay as
-        literal zeros so surrogate artefacts keep their bytes.
-        """
-        return {"skipped": 0, "predicted": 0, "surrogate": self.surrogate_skips}
 
     def summary(self) -> dict:
         """Aggregate view used by reports: sizes, ranges, Pareto count."""
@@ -478,8 +463,6 @@ class ResultDatabase:
                 "misses": self.store_misses,
                 "loaded": self.store_loaded,
             }
-        if self.surrogate_skips:
-            data["pruning"] = self._pruning_section()
         if not self.has_feasible:
             return data
         for key in metric_keys():
@@ -501,7 +484,7 @@ class StreamingResultView:
     and the front itself in memory: queries that need the records again
     re-iterate the source instead of caching them.
 
-    Execution metadata (cache/store/surrogate counters, provenance) is zero /
+    Execution metadata (cache/store counters, provenance) is zero /
     absent: a stream describes *results*, not how a particular run produced
     them.
     """
@@ -514,7 +497,6 @@ class StreamingResultView:
         self.store_hits = 0
         self.store_misses = 0
         self.store_loaded = 0
-        self.surrogate_skips = 0
         self.provenance: Provenance | None = None
         self.windows: dict = {}
         self._fronts: dict[

@@ -7,8 +7,6 @@ classic design-space-exploration strategies that reuse the same
 point-evaluation machinery as the exhaustive engine:
 
 * :class:`RandomSearch`        — uniform sampling of the space.
-* :class:`HillClimbSearch`     — local search mutating one parameter at a
-                                 time, restarted from random points.
 * :class:`EvolutionarySearch`  — a small (mu + lambda) evolutionary
                                  algorithm with Pareto-rank selection, the
                                  standard tool for multi-objective DSE.
@@ -32,12 +30,11 @@ evaluates it and counts a stall when it adds no new evaluation;
 :meth:`~SearchStrategy._seed` does the same for uniform random starting
 points, :meth:`~SearchStrategy._members` lists everything evaluated so far
 and :attr:`~SearchStrategy._searching` says whether to go on (budget left,
-not stalled).  Only :class:`HillClimbSearch` counts its own stalls, because
-its restart evaluations count towards them.
+not stalled).
 
-The modern surrogate-guided portfolio (NSGA-II, the TPE sampler and the
-random-forest surrogate search) lives in :mod:`repro.core.strategies` and
-builds on the same :class:`SearchStrategy` base.
+The modern multi-objective portfolio (NSGA-II and the TPE sampler) lives in
+:mod:`repro.core.strategies` and builds on the same :class:`SearchStrategy`
+base.
 """
 
 from __future__ import annotations
@@ -99,16 +96,8 @@ class SearchStrategy:
         # Consecutive generations that added no new evaluation (see _step).
         self._stalled = 0
         self._sink: ResultSink | None = None
-        # Candidates discarded on a learned model's prediction alone, never
-        # evaluated (only :class:`~repro.core.strategies.SurrogateSearch`
-        # discards any).
-        self.surrogate_skips = 0
 
     # -- helpers ------------------------------------------------------------
-
-    def _evaluate(self, point: dict, database: ResultDatabase) -> ExplorationRecord:
-        """Evaluate one point (memoised by its index in the space)."""
-        return self._evaluate_batch([point], database)[0]
 
     def _evaluate_batch(
         self, points: list[dict], database: ResultDatabase
@@ -116,8 +105,8 @@ class SearchStrategy:
         """Evaluate a generation of points as one backend batch.
 
         The whole generation goes through the engine, whose memoisation
-        cache answers revisited points (hill-climb no-op mutations, repeated
-        offspring) without re-profiling; only points this strategy has not
+        cache answers revisited points (no-op mutations, repeated offspring)
+        without re-profiling; only points this strategy has not
         produced before are appended to ``database``, in generation order.
         Returns one record per submitted point, order preserved.
         """
@@ -160,13 +149,12 @@ class SearchStrategy:
         return len(self._evaluated)
 
     @property
-    def budget_left(self) -> bool:
-        return self.evaluations_used < self.budget.evaluations
-
-    @property
     def _searching(self) -> bool:
         """Budget left and fewer than ``max_stalled_generations`` stalls in a row."""
-        return self.budget_left and self._stalled < self.max_stalled_generations
+        return (
+            self.evaluations_used < self.budget.evaluations
+            and self._stalled < self.max_stalled_generations
+        )
 
     def _members(self) -> list[tuple[dict, ExplorationRecord]]:
         """``(parameters, record)`` of every point evaluated so far, in
@@ -240,7 +228,6 @@ class SearchStrategy:
         finally:
             self._sink = None
         self.engine._record_counters(database, snapshot)
-        database.surrogate_skips = self.surrogate_skips
         self.engine._attach_provenance(database)
         return database
 
@@ -260,78 +247,6 @@ class RandomSearch(SearchStrategy):
         total = min(self.budget.evaluations, self.engine.space.size())
         points = self.engine.space.sample(total, seed=self.budget.seed)
         self._evaluate_batch(points, database)
-
-
-class HillClimbSearch(SearchStrategy):
-    """Steepest-descent hill climbing with random restarts.
-
-    Minimises a scalarised objective (the normalised sum of the chosen
-    metrics) — a simple but effective local search when the designer wants
-    one good configuration quickly rather than the whole front.  Each step
-    evaluates ``neighbours_per_step`` single-parameter mutations of the
-    current point as one batch (so a parallel backend profiles them
-    concurrently) and moves to the best improving neighbour.
-    """
-
-    name = "hillclimb"
-
-    def __init__(
-        self,
-        engine: ExplorationEngine,
-        budget: SearchBudget | None = None,
-        metrics: list[str] | None = None,
-        neighbours_per_step: int = 4,
-    ) -> None:
-        super().__init__(engine, budget, metrics)
-        self.neighbours_per_step = neighbours_per_step
-
-    def _score(self, record: ExplorationRecord, scales: dict[str, float]) -> float:
-        # An infeasible record (OOM on the trace) has artificially low
-        # metrics — it never ran the whole application — so it must never
-        # look like an improvement; score it off the scale.
-        if not record.feasible:
-            return float("inf")
-        return sum(
-            record.metrics.value(metric) / scales[metric] for metric in self.metrics
-        )
-
-    def _search(self, database: ResultDatabase) -> None:
-        # Scale metrics by the value of an initial random point so that
-        # objectives with large magnitudes do not dominate the scalarisation.
-        current_point = self._random_point()
-        current = self._evaluate(current_point, database)
-        scales = {
-            metric: max(current.metrics.value(metric), 1.0) for metric in self.metrics
-        }
-        current_score = self._score(current, scales)
-        stalled = 0
-        while self.budget_left and stalled < self.max_stalled_generations:
-            used_before = self.evaluations_used
-            neighbours = [
-                self._mutate(current_point) for _ in range(self.neighbours_per_step)
-            ]
-            neighbours = self._within_budget(neighbours)
-            improved = False
-            if neighbours:
-                records = self._evaluate_batch(neighbours, database)
-                best_index = min(
-                    range(len(records)),
-                    key=lambda i: self._score(records[i], scales),
-                )
-                best_score = self._score(records[best_index], scales)
-                if best_score < current_score:
-                    current_point = neighbours[best_index]
-                    current = records[best_index]
-                    current_score = best_score
-                    improved = True
-            if not improved:
-                # Random restart.
-                if not self.budget_left:
-                    break
-                current_point = self._random_point()
-                current = self._evaluate(current_point, database)
-                current_score = self._score(current, scales)
-            stalled = stalled + 1 if self.evaluations_used == used_before else 0
 
 
 class EvolutionarySearch(SearchStrategy):

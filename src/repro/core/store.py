@@ -708,14 +708,6 @@ class ResultStore:
         self._entries[key] = payload
         return payload
 
-    def contains(self, fingerprint: str, point: dict) -> bool:
-        """True when the store holds ``point`` — without touching counters.
-
-        For cheap "would this evaluation be free?" probes that must not
-        distort the hit/miss statistics.
-        """
-        return self._key(fingerprint, point) in self._entries
-
     def missing_points(
         self, fingerprint: str, points: Iterable[tuple[int, dict]]
     ) -> list[tuple[int, dict]]:

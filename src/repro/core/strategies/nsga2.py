@@ -71,20 +71,6 @@ def crowding_distance(
     return distances
 
 
-def crowded_order(vectors: Sequence[Sequence[float]]) -> list[tuple[int, int, float]]:
-    """``(index, layer, crowding)`` of every vector, best first.
-
-    Layer by layer, the more isolated member (larger crowding distance)
-    comes first; the index breaks exact ties.
-    """
-    ordered: list[tuple[int, int, float]] = []
-    for layer, front in enumerate(fast_non_dominated_sort(vectors)):
-        distances = crowding_distance(vectors, front)
-        for index in sorted(front, key=lambda i: (-distances[i], i)):
-            ordered.append((index, layer, distances[index]))
-    return ordered
-
-
 class NSGA2Search(EvolutionarySearch):
     """NSGA-II: non-dominated sorting + crowding-distance selection."""
 
@@ -97,17 +83,19 @@ class NSGA2Search(EvolutionarySearch):
     ) -> list[tuple[dict, ExplorationRecord, int, float]]:
         """Members annotated with (rank, crowding), best first.
 
-        Constrained domination: feasible members are ordered by
-        :func:`crowded_order` over the chosen metrics; infeasible members
-        always rank behind every feasible layer, in
+        Constrained domination: feasible members are ordered layer by layer
+        over the chosen metrics, the more isolated member (larger crowding
+        distance) first and the index breaking exact ties; infeasible
+        members always rank behind every feasible layer, in
         :meth:`~repro.core.search.EvolutionarySearch._failure_order`.
         """
         feasible = [m for m in members if m[1].feasible]
         vectors = [record.metric_vector(self.metrics) for _, record in feasible]
-        annotated = [
-            (*feasible[index], layer, crowding)
-            for index, layer, crowding in crowded_order(vectors)
-        ]
+        annotated = []
+        for layer, front in enumerate(fast_non_dominated_sort(vectors)):
+            distances = crowding_distance(vectors, front)
+            for index in sorted(front, key=lambda i: (-distances[i], i)):
+                annotated.append((*feasible[index], layer, distances[index]))
         layers = annotated[-1][2] + 1 if annotated else 0
         failed = self._failure_order([record for _, record in members])
         annotated.extend(

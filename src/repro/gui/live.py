@@ -4,10 +4,10 @@
 that makes long local and distributed sweeps observable while they run:
 it maintains an incremental Pareto front, per-metric value ranges and an
 evaluation rate from the record stream, and — when the experiment layer
-attaches them — mirrors the engine's memo/store counters and the search
-strategy's surrogate-skip counter.  A compact status block is redrawn in
-place on a TTY (ANSI cursor movement) and emitted as single status lines
-on any other stream, at most once per ``interval`` seconds.
+attaches it — mirrors the engine's memo/store counters.  A compact status
+block is redrawn in place on a TTY (ANSI cursor movement) and emitted as
+single status lines on any other stream, at most once per ``interval``
+seconds.
 
 The dashboard writes to *stderr* by default, so the artefact bytes a run
 prints or saves stay untouched — attaching the dashboard never changes
@@ -70,7 +70,6 @@ class LiveDashboardSink:
         #: metric name -> (lowest, highest) value observed so far.
         self.ranges: dict[str, tuple[float, float]] = {}
         self._engine = None
-        self._strategy = None
         self._windows = None
         self._started = time.monotonic()
         # The monotonic clock's origin is unspecified (boot time on Linux),
@@ -83,10 +82,6 @@ class LiveDashboardSink:
     def attach_engine(self, engine) -> None:
         """Mirror ``engine``'s memo (L1) and store (L2) counters live."""
         self._engine = engine
-
-    def attach_strategy(self, strategy) -> None:
-        """Mirror ``strategy``'s surrogate-skip counter live."""
-        self._strategy = strategy
 
     def attach_windows(self, analysis) -> None:
         """Mirror a windowed analysis' per-window front sizes live.
@@ -147,9 +142,6 @@ class LiveDashboardSink:
                     f"{engine.store_hits + engine.store_misses} "
                     f"(loaded {engine.store.loaded})"
                 )
-        strategy = self._strategy
-        if strategy is not None and strategy.surrogate_skips:
-            counters.append(f"surrogate {strategy.surrogate_skips}")
         if counters:
             lines.append("counters: " + " | ".join(counters))
         if self._windows is not None:

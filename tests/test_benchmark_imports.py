@@ -56,4 +56,36 @@ def test_only_full_runs_write_the_tracked_ledger(
     assert [entry.name for entry in tmp_path.iterdir()] == [filename]
     document = json.loads(path.read_text())
     assert document["mode"] == mode and document["value"] == 1
-    assert set(document["environment"]) == {"git_sha", "python", "numpy", "cpu_count"}
+    assert set(document["environment"]) == {
+        "git_sha",
+        "git_dirty",
+        "python",
+        "numpy",
+        "cpu_count",
+    }
+
+
+@pytest.mark.parametrize(
+    "change, dirty",
+    [("none", False), ("untracked", False), ("modified", True), ("no-git", None)],
+)
+def test_environment_marks_a_dirty_tree(change, dirty, tmp_path, monkeypatch):
+    """A ledger measured on uncommitted changes says so; untracked files
+    (build and test leftovers) do not count."""
+    import subprocess
+
+    common = importlib.import_module("benchmarks.common")
+    monkeypatch.setattr(common, "REPO_ROOT", tmp_path)
+    tracked = tmp_path / "tracked.txt"
+    tracked.write_text("committed\n")
+    if change != "no-git":
+        git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org"]
+        for args in (["init", "-q"], ["add", "tracked.txt"], ["commit", "-q", "-m", "x"]):
+            subprocess.run(git + args, cwd=tmp_path, check=True, capture_output=True)
+    if change == "untracked":
+        (tmp_path / "BENCH_demo.quick.json").write_text("{}\n")
+    elif change == "modified":
+        tracked.write_text("changed\n")
+    environment = common.bench_environment()
+    assert environment["git_dirty"] is dirty
+    assert (environment["git_sha"] is None) == (change == "no-git")

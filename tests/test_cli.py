@@ -263,6 +263,42 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "retired, param", [("surrogate", "trees"), ("hillclimb", "neighbours_per_step")]
+    )
+    def test_retired_strategy_params_are_refused(
+        self, tmp_path, capsys, retired, param
+    ):
+        """A retired strategy runs NSGA-II, which takes none of its old
+        params: naming one is a one-line error and writes no artefact."""
+        spec_path = self.spec_file(tmp_path)
+        out = tmp_path / "out.json"
+        args = ["run", str(spec_path), "--out", str(out)]
+        args += ["--set", f"strategy.name={retired}"]
+        args += ["--set", f"strategy.params.{param}=10"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert param in err and f"'{retired}'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("retired", ["surrogate", "hillclimb"])
+    def test_retired_strategy_flag_runs_nsga2(self, tmp_path, capsys, retired):
+        """``--strategy hillclimb`` (or ``surrogate``) runs NSGA-II: the same
+        records, under the name of the strategy that ran."""
+        artefacts = {}
+        for name in (retired, "nsga2"):
+            out = tmp_path / f"{name}.json"
+            args = ["explore", "--workload", "uniform", "--space", "compact"]
+            args += ["--seed", "1", "--strategy", name, "--budget", "64"]
+            assert main(args + ["--out", str(out)]) == 0
+            artefacts[name] = json.loads(out.read_text())
+        assert artefacts[retired]["name"] == artefacts["nsga2"]["name"]
+        assert artefacts["nsga2"]["name"].endswith("-nsga2")
+        assert artefacts[retired]["records"] == artefacts["nsga2"]["records"]
+        assert len(artefacts["nsga2"]["records"]) == 64
+
     def test_explore_prune_flag_is_refused(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["explore", "--prune"])
@@ -479,11 +515,15 @@ class TestListCommand:
         # Every SearchStrategy-backed entry advertises its tunable params
         # with defaults; the budget default comes from the registry entry.
         assert "params: budget=200, population=16, offspring=16" in output
-        assert (
-            "params: budget=200, initial=16, candidates=128, "
-            "surrogate_fraction=0.125, trees=12, depth=6"
-        ) in output
         assert "params: budget=200, startup=16, batch=8" in output
+        # The retired names say so, with the NSGA-II params they run with.
+        lines = output.splitlines()
+        for retired in ("hillclimb", "surrogate"):
+            [at] = [i for i, line in enumerate(lines) if line.split()[:1] == [retired]]
+            assert lines[at].endswith("retired; runs nsga2")
+            assert lines[at + 1].strip() == (
+                "params: budget=200, population=16, offspring=16, mutation_rate=0.3"
+            )
         # The exhaustive runner has no budget and must stay signature-free.
         exhaustive_block = output.split("exhaustive", 1)[1].split("hillclimb")[0]
         assert "params:" not in exhaustive_block

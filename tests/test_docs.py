@@ -262,14 +262,13 @@ class TestSearchDocRuns:
         # portfolio with its tunable parameters ...
         for name in ("nsga2", "tpe", "surrogate"):
             assert name in output
+        assert "retired; runs nsga2" in output
         assert "params: budget=" in output
-        # ... the CLI surrogate run produced a front ...
+        # ... the CLI nsga2 run produced a front ...
         assert "Pareto-optimal" in output
-        assert (tmp_path / "surrogate.json").exists()
-        # ... the hypervolume block measured all three portfolio members ...
-        assert output.count("of the exhaustive hypervolume") == 3
-        # ... and the model-skip block exercised the surrogate counter.
-        assert "model ranked out" in output
+        assert (tmp_path / "nsga2.json").exists()
+        # ... and the hypervolume block measured both portfolio members.
+        assert output.count("of the exhaustive hypervolume") == 2
 
 
 class TestTutorialRuns:

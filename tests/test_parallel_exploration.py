@@ -20,11 +20,11 @@ from repro.core.exploration import (
 )
 from repro.core.search import (
     EvolutionarySearch,
-    HillClimbSearch,
     RandomSearch,
     SearchBudget,
 )
 from repro.core.space import compact_parameter_space, smoke_parameter_space
+from repro.core.strategies import NSGA2Search
 from repro.workloads.easyport import EasyportWorkload
 from repro.workloads.synthetic import FixedSizesWorkload
 
@@ -116,12 +116,12 @@ class TestSerialParallelEquivalence:
         "strategy_factory",
         [
             lambda engine: RandomSearch(engine, SearchBudget(evaluations=12, seed=7)),
-            lambda engine: HillClimbSearch(engine, SearchBudget(evaluations=12, seed=7)),
+            lambda engine: NSGA2Search(engine, SearchBudget(evaluations=12, seed=7)),
             lambda engine: EvolutionarySearch(
                 engine, SearchBudget(evaluations=12, seed=7), population=4, offspring=4
             ),
         ],
-        ids=["random", "hillclimb", "evolutionary"],
+        ids=["random", "nsga2", "evolutionary"],
     )
     def test_search_trajectories_identical(
         self, small_trace, tmp_path, pool_backend, strategy_factory
@@ -201,15 +201,15 @@ class TestMemoisationCache:
 
     def test_cache_hits_honour_the_submitted_label(self, small_trace):
         """A later caller must not record a point under the first caller's
-        label (e.g. an evolutionary record tagged ``hillclimb_...``)."""
+        label (e.g. an evolutionary record tagged ``nsga2_...``)."""
         engine = ExplorationEngine(smoke_parameter_space(), small_trace)
         point = engine.space.point_at(0)
-        first = engine.evaluate_point(point, "hillclimb_000000")
+        first = engine.evaluate_point(point, "nsga2_000000")
         second = engine.evaluate_point(point, "evolutionary_000000")
         unlabelled = engine.evaluate_point(point)
-        assert first.configuration_id == "hillclimb_000000"
+        assert first.configuration_id == "nsga2_000000"
         assert second.configuration_id == "evolutionary_000000"
-        assert unlabelled.configuration_id == "hillclimb_000000"  # cached label kept
+        assert unlabelled.configuration_id == "nsga2_000000"  # cached label kept
         assert first.metrics == second.metrics
 
     def test_key_order_does_not_matter(self, small_trace):
@@ -268,18 +268,18 @@ class TestMemoisationCache:
         assert engine.cache_misses == 1
 
     def test_search_revisits_do_not_reprofile(self, small_trace):
-        """A hill climb on the 8-point smoke space must revisit points; every
+        """An NSGA-II run on the 8-point smoke space must revisit points; every
         revisit must be a cache hit, and the database must record the split."""
         engine = ExplorationEngine(smoke_parameter_space(), small_trace)
-        database = HillClimbSearch(engine, SearchBudget(evaluations=8, seed=3)).run()
+        database = NSGA2Search(engine, SearchBudget(evaluations=8, seed=3)).run()
         assert engine.cache_misses <= smoke_parameter_space().size()
         assert database.cache_misses == engine.cache_misses
         assert database.cache_hits == engine.cache_hits
-        assert database.cache_hits > 0  # 8-point space with restarts must revisit
+        assert database.cache_hits > 0  # offspring of an 8-point space must revisit
 
     def test_cache_counters_survive_json_round_trip(self, small_trace, tmp_path):
         engine = ExplorationEngine(smoke_parameter_space(), small_trace)
-        database = HillClimbSearch(engine, SearchBudget(evaluations=8, seed=3)).run()
+        database = NSGA2Search(engine, SearchBudget(evaluations=8, seed=3)).run()
         path = tmp_path / "db.json"
         database.to_json(path)
         from repro.core.results import ResultDatabase
@@ -323,12 +323,13 @@ class TestSeedDeterminismAcrossStrategies:
 
 class TestRegistryStrategiesBackendIdentity:
     """Every strategy reachable through the registry — including the
-    surrogate portfolio — must produce a byte-identical database serially,
-    under a process pool, and across repeat runs with the same seed."""
+    retired names, which run NSGA-II — must produce a byte-identical
+    database serially, under a process pool, and across repeat runs with
+    the same seed."""
 
     # Small per-strategy params so each run fits a 12-evaluation budget and
-    # still exercises the model-guided phases (surrogate forests, TPE
-    # densities, NSGA-II generations).
+    # still exercises the model-guided phases (TPE densities, NSGA-II
+    # generations); the retired names take a budget only.
     PARAMS = {
         "exhaustive": {},
         "random": {},
@@ -336,13 +337,7 @@ class TestRegistryStrategiesBackendIdentity:
         "evolutionary": {"population": 4, "offspring": 4},
         "nsga2": {"population": 4, "offspring": 4},
         "tpe": {"startup": 4, "batch": 4, "candidates": 16},
-        "surrogate": {
-            "initial": 5,
-            "candidates": 24,
-            "surrogate_fraction": 0.25,
-            "trees": 4,
-            "depth": 3,
-        },
+        "surrogate": {},
     }
 
     def _run(self, name, trace, backend=None):

@@ -325,7 +325,6 @@ class TestIncrementalParetoFront:
         front = IncrementalParetoFront()
         assert len(front) == 0
         assert front.items() == []
-        assert front.dominates((1, 1)) is False
 
     def test_key_function(self):
         front = IncrementalParetoFront(key=lambda item: item["v"])
@@ -335,13 +334,6 @@ class TestIncrementalParetoFront:
     def test_vector_required_without_key(self):
         with pytest.raises(ValueError):
             IncrementalParetoFront().add("a")
-
-    def test_dominates_query(self):
-        front = IncrementalParetoFront()
-        front.add("a", (1, 1))
-        assert front.dominates((2, 2)) is True
-        assert front.dominates((1, 1)) is False  # ties do not dominate
-        assert front.dominates((0, 5)) is False
 
     def test_matches_batch_front_on_a_known_sequence(self):
         vectors = [(1, 4), (2, 2), (4, 1), (3, 3), (2, 5), (5, 2), (2, 2)]

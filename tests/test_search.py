@@ -8,7 +8,6 @@ from repro.core.pareto import dominates
 from repro.core.results import ExplorationRecord
 from repro.core.search import (
     EvolutionarySearch,
-    HillClimbSearch,
     RandomSearch,
     SearchBudget,
 )
@@ -50,22 +49,6 @@ class TestRandomSearch:
         engine, _ = exhaustive_reference
         database = RandomSearch(engine, SearchBudget(evaluations=1000, seed=0)).run()
         assert len(database) == engine.space.size()
-
-
-class TestHillClimbSearch:
-    def test_respects_budget(self, engine):
-        search = HillClimbSearch(engine, SearchBudget(evaluations=12, seed=3))
-        database = search.run()
-        assert 1 <= len(database) <= 12
-        assert search.evaluations_used <= 12
-
-    def test_finds_a_reasonable_configuration(self, exhaustive_reference):
-        engine, exhaustive = exhaustive_reference
-        search = HillClimbSearch(engine, SearchBudget(evaluations=6, seed=4))
-        database = search.run()
-        best_found = min(record.metrics.accesses for record in database)
-        worst_exhaustive = max(record.metrics.accesses for record in exhaustive)
-        assert best_found <= worst_exhaustive
 
 
 class TestEvolutionarySearch:
@@ -151,5 +134,5 @@ class TestSearchInternals:
         database = search.run()
         point = database[0].parameters
         before = search.evaluations_used
-        search._evaluate(point, database)
+        search._evaluate_batch([point], database)
         assert search.evaluations_used == before

@@ -3,9 +3,9 @@
 ``test_fixed_seed_runs_are_identical`` compares two runs of the same code;
 these pins compare a run against the one recorded when the pins were
 written, so a refactor that silently moves a trajectory fails here.  Each
-pin is the sha256 of the evaluated labels (in evaluation order) plus the
-surrogate-skip counter, for one strategy on the ``uniform`` workload ×
-``compact`` space at budget 48 and seed 1 — the same run as::
+pin is the sha256 of the evaluated labels (in evaluation order) for one
+strategy on the ``uniform`` workload × ``compact`` space at budget 48 and
+seed 1 — the same run as::
 
     dmexplore explore --workload uniform --space compact --seed 1 \\
         --strategy STRATEGY --budget 48
@@ -22,32 +22,18 @@ import pytest
 from repro.api.experiment import run_experiment
 from repro.api.spec import ExperimentSpec
 
-STRATEGIES = ("random", "hillclimb", "evolutionary", "nsga2", "tpe", "surrogate")
+STRATEGIES = ("random", "evolutionary", "nsga2", "tpe")
 
-#: strategy -> (sha256 of the label sequence, surrogate_skips)
+#: strategy -> sha256 of the label sequence
 PINS = {
-    "random": (
-        "0220e3afb33f1f4e92b87fb8ff3143f4f32aad50a192967b9a302961883b6af2", 0,
-    ),
-    "hillclimb": (
-        "93ffab33e5cd607faa906ca7d38aed10c4bb8b08a17e72e45ae5a9f323e2c51d", 0,
-    ),
-    "evolutionary": (
-        "6116ea9fbd7a6d665c880317f298186e72c0d8a6b3e66f152454cdbe99125890", 0,
-    ),
-    "nsga2": (
-        "b2476e96cb88ca4b12cf8a028bd72692f32907ba8305b38964da0079998ad5e8", 0,
-    ),
-    "tpe": (
-        "7ff0c10de311cae0d6baf8bd981d9af6f7b9ebc928da97802408ca89b49454ef", 0,
-    ),
-    "surrogate": (
-        "992e3347fc2f1ace9db73c2d4e3b83dfea54bc68a2044717aea0e39c8490b624", 95,
-    ),
+    "random": "0220e3afb33f1f4e92b87fb8ff3143f4f32aad50a192967b9a302961883b6af2",
+    "evolutionary": "6116ea9fbd7a6d665c880317f298186e72c0d8a6b3e66f152454cdbe99125890",
+    "nsga2": "b2476e96cb88ca4b12cf8a028bd72692f32907ba8305b38964da0079998ad5e8",
+    "tpe": "7ff0c10de311cae0d6baf8bd981d9af6f7b9ebc928da97802408ca89b49454ef",
 }
 
 
-def trajectory(strategy: str) -> tuple[str, int]:
+def trajectory(strategy: str) -> str:
     spec = ExperimentSpec.from_dict(
         {
             "spec_version": 1,
@@ -59,7 +45,7 @@ def trajectory(strategy: str) -> tuple[str, int]:
     )
     database = run_experiment(spec).database
     labels = "\n".join(record.configuration_id for record in database.records)
-    return hashlib.sha256(labels.encode()).hexdigest(), database.surrogate_skips
+    return hashlib.sha256(labels.encode()).hexdigest()
 
 
 # The "-plain" ids name the unpruned runs these pins have always held.
@@ -73,6 +59,5 @@ def test_trajectory_matches_pin(strategy):
 if __name__ == "__main__":
     print("PINS = {")
     for name in STRATEGIES:
-        digest, skips = trajectory(name)
-        print(f'    "{name}": (\n        "{digest}", {skips},\n    ),')
+        print(f'    "{name}": "{trajectory(name)}",')
     print("}")

@@ -218,7 +218,7 @@ class TestConcurrentWriters:
         assert store.loaded == workers * entries
         for worker in range(workers):
             for index in range(entries):
-                assert store.contains(f"worker{worker}-fp{index}", {"i": index})
+                assert store.get(f"worker{worker}-fp{index}", {"i": index}) is not None
 
     def test_racing_writers_of_the_same_key_keep_the_store_loadable(self, tmp_path, small_trace):
         # Two handles that both believe the key is absent (the in-memory
@@ -235,15 +235,6 @@ class TestConcurrentWriters:
         reopened = ResultStore(path)
         assert reopened.corrupt_entries == 0
         assert reopened.get("fp", point).configuration.label == "second"
-
-    def test_contains_does_not_touch_counters(self, tmp_path, small_trace):
-        store = ResultStore(tmp_path / "store.jsonl")
-        engine = make_engine(small_trace, store=None)
-        point = engine.space.point_at(0)
-        store.put("fp", point, engine.run_point(point))
-        assert store.contains("fp", point)
-        assert not store.contains("other", point)
-        assert store.hits == 0 and store.misses == 0
 
 
 class TestEngineStoreIntegration:

@@ -1,9 +1,10 @@
-"""Unit tests for the surrogate-guided search portfolio (repro.core.strategies).
+"""Unit tests for the search portfolio (repro.core.strategies).
 
 Covers the NSGA-II machinery (fast non-dominated sorting, crowding
-distance), the TPE density model, the random-forest regressor, and the
-strategy-level contracts all three new strategies share: budget respect,
-fixed-seed determinism, and the ``surrogate_skips`` accounting.
+distance), the TPE density model, the random-forest regressor, the
+strategy-level contracts both portfolio strategies share (budget respect,
+fixed-seed determinism), the artefact counters, and the retired strategy
+names that now run NSGA-II.
 """
 
 import json
@@ -19,7 +20,6 @@ from repro.core.strategies import (
     NSGA2Search,
     RandomForest,
     RegressionTree,
-    SurrogateSearch,
     TPESearch,
     crowding_distance,
     fast_non_dominated_sort,
@@ -213,19 +213,15 @@ class TestStrategyContracts:
     CASES = [
         (NSGA2Search, dict(population=5, offspring=5)),
         (TPESearch, dict(startup=5, batch=4, candidates=20)),
-        (
-            SurrogateSearch,
-            dict(initial=5, candidates=24, surrogate_fraction=0.25, trees=4, depth=3),
-        ),
     ]
 
-    @pytest.mark.parametrize("cls,params", CASES, ids=["nsga2", "tpe", "surrogate"])
+    @pytest.mark.parametrize("cls,params", CASES, ids=["nsga2", "tpe"])
     def test_budget_is_respected_and_spent(self, trace, cls, params):
         engine = make_engine(trace)
         database = cls(engine, SearchBudget(evaluations=18, seed=3), **params).run()
         assert len(database) == 18  # budget fully used on the 128-point space
 
-    @pytest.mark.parametrize("cls,params", CASES, ids=["nsga2", "tpe", "surrogate"])
+    @pytest.mark.parametrize("cls,params", CASES, ids=["nsga2", "tpe"])
     def test_fixed_seed_runs_are_identical(self, trace, tmp_path, cls, params):
         names = iter(("a.json", "b.json"))
         payloads = []
@@ -243,13 +239,6 @@ class TestStrategyContracts:
             NSGA2Search(engine, population=1)
         with pytest.raises(ValueError):
             NSGA2Search(engine, mutation_rate=1.5)
-
-    def test_surrogate_invalid_params_rejected(self, trace):
-        engine = make_engine(trace)
-        with pytest.raises(ValueError):
-            SurrogateSearch(engine, surrogate_fraction=0.0)
-        with pytest.raises(ValueError):
-            SurrogateSearch(engine, trees=0)
 
     def test_strategies_reach_most_of_the_true_hypervolume(self, trace):
         """Acceptance: with a ~19 % budget of the compact space, every
@@ -280,66 +269,24 @@ class TestStrategyContracts:
                 assert achieved > 0.7, (cls.name, seed, achieved)
 
 
-class TestSurrogateSkipAccounting:
-    def run_surrogate(self, trace):
-        engine = make_engine(trace)
-        search = SurrogateSearch(
-            engine,
-            SearchBudget(evaluations=20, seed=4),
-            initial=5,
-            candidates=32,
-            surrogate_fraction=0.25,
-            trees=4,
-            depth=3,
-        )
-        return search, search.run()
-
-    def test_model_discards_count_as_surrogate_skips_only(self, trace):
-        # Every skip comes from the learned model; the section's two
-        # retired keys stay as literal zeros so artefacts keep their bytes.
-        search, database = self.run_surrogate(trace)
-        assert search.surrogate_skips > 0
-        assert database.surrogate_skips == search.surrogate_skips
-        assert database.summary()["pruning"] == {
-            "skipped": 0,
-            "predicted": 0,
-            "surrogate": search.surrogate_skips,
-        }
-
-    def test_surrogate_skips_surface_everywhere(self, trace, tmp_path):
-        from repro.core.reporting import exploration_report
+class TestArtefactCounters:
+    def test_search_artefact_round_trips_byte_identically(self, trace, tmp_path):
         from repro.core.results import ResultDatabase
 
-        search, database = self.run_surrogate(trace)
-        summary = database.summary()
-        assert summary["pruning"]["surrogate"] == search.surrogate_skips
-        path = tmp_path / "db.json"
-        database.to_json(path)
-        loaded = ResultDatabase.from_json(path)
-        assert loaded.surrogate_skips == search.surrogate_skips
-        report = exploration_report(database)
-        assert f"Surrogate skips: {search.surrogate_skips}" in report
-
-    def test_surrogate_artefact_round_trips_byte_identically(self, trace, tmp_path):
-        from repro.core.results import ResultDatabase
-
-        search, database = self.run_surrogate(trace)
+        database = NSGA2Search(
+            make_engine(trace), SearchBudget(evaluations=20, seed=4)
+        ).run()
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         database.to_json(first)
         ResultDatabase.from_json(first).to_json(second)
         assert first.read_bytes() == second.read_bytes()
-        section = json.loads(first.read_text())["pruning"]
-        assert list(section.items()) == [
-            ("skipped", 0),
-            ("predicted", 0),
-            ("surrogate", search.surrogate_skips),
-        ]
+        assert "pruning" not in json.loads(first.read_text())
 
     def test_pruned_artefact_from_before_the_removal_still_loads(
         self, trace, tmp_path
     ):
-        # Artefacts of pruned runs carry non-zero retired counters; they
-        # load with their records intact and only the surrogate count kept.
+        # Artefacts of pruned or surrogate runs carry a ``pruning`` section;
+        # they load with their records intact and the section ignored.
         from repro.core.results import ResultDatabase
 
         database = RandomSearch(
@@ -347,31 +294,20 @@ class TestSurrogateSkipAccounting:
         ).run()
         path = tmp_path / "pruned.json"
         database.to_json(path)
+        clean = path.read_bytes()
         payload = json.loads(path.read_text())
-        payload["pruning"] = {"skipped": 5, "predicted": 30, "surrogate": 0}
+        payload["pruning"] = {"skipped": 5, "predicted": 30, "surrogate": 95}
         path.write_text(json.dumps(payload, indent=2))
         loaded = ResultDatabase.from_json(path)
         assert [r.as_dict() for r in loaded.records] == [
             r.as_dict() for r in database.records
         ]
-        assert loaded.surrogate_skips == 0
         assert "pruning" not in loaded.summary()
-
-    def test_dashboard_shows_surrogate_counter(self, trace):
-        import io
-
-        from repro.gui.live import LiveDashboardSink
-
-        search, _ = self.run_surrogate(trace)
-        sink = LiveDashboardSink(interval=0.0, stream=io.StringIO())
-        sink.attach_strategy(search)
-        assert any(
-            f"surrogate {search.surrogate_skips}" in line
-            for line in sink.status_lines()
-        )
+        loaded.to_json(tmp_path / "rewritten.json")
+        assert (tmp_path / "rewritten.json").read_bytes() == clean
 
     @pytest.mark.parametrize("cls", [RandomSearch, NSGA2Search, TPESearch])
-    def test_other_strategies_show_no_skip_text(self, trace, tmp_path, cls):
+    def test_strategies_show_no_skip_text(self, trace, tmp_path, cls):
         import io
 
         from repro.core.reporting import exploration_report
@@ -381,7 +317,6 @@ class TestSurrogateSkipAccounting:
         search = cls(engine, SearchBudget(evaluations=12, seed=4))
         sink = LiveDashboardSink(interval=0.0, stream=io.StringIO())
         sink.attach_engine(engine)
-        sink.attach_strategy(search)
         database = search.run(sink=sink)
         [counters] = [
             line for line in sink.status_lines() if line.startswith("counters: ")
@@ -389,30 +324,76 @@ class TestSurrogateSkipAccounting:
         assert counters == f"counters: memo 0/{engine.cache_misses}"
         report = exploration_report(database)
         assert "prun" not in report.lower()
-        assert "Surrogate skips" not in report
+        assert "skips" not in report.lower()
         assert "pruning" not in database.summary()
         database.to_json(tmp_path / "db.json")
         assert '"pruning"' not in (tmp_path / "db.json").read_text()
 
-    def test_experiment_counters_include_surrogate_skips(self):
+    def test_experiment_counters_are_cache_and_store_counters(self):
         from repro.api import ComponentRef, Experiment, ExperimentSpec
 
         spec = ExperimentSpec(
             workload=ComponentRef("uniform", {"operations": 300}),
             space=ComponentRef("compact"),
-            strategy=ComponentRef(
-                "surrogate",
-                {
-                    "budget": 15,
-                    "initial": 5,
-                    "candidates": 24,
-                    "surrogate_fraction": 0.25,
-                    "trees": 3,
-                    "depth": 3,
-                },
-            ),
+            strategy=ComponentRef("nsga2", {"budget": 15}),
             seed=7,
         )
         result = Experiment(spec).run()
-        assert result.counters["surrogate_skips"] == result.database.surrogate_skips
-        assert result.counters["surrogate_skips"] > 0
+        assert result.counters == {
+            "cache_hits": result.database.cache_hits,
+            "cache_misses": result.database.cache_misses,
+            "store_hits": 0,
+            "store_misses": 0,
+            "store_loaded": 0,
+        }
+        assert result.counters["cache_misses"] == 15
+
+
+class TestRetiredNames:
+    """``surrogate`` and ``hillclimb`` are registry names for NSGA-II."""
+
+    #: ``spec_hash`` of the budget-only specs below, as written before the
+    #: two strategies were retired.
+    SPEC_HASHES = {
+        "surrogate": "1a5022f3307f8a884e58d7f1dc8ad2477d321463b31a2cd611144a8d30e25070",
+        "hillclimb": "562aa536273218dc9d82faf119461cbf12775787d5bbec6731b8af0aed447e76",
+    }
+
+    @staticmethod
+    def spec(name, budget=64, space="smoke"):
+        from repro.api import ComponentRef, ExperimentSpec
+
+        return ExperimentSpec(
+            workload=ComponentRef("uniform", {"operations": 300}),
+            space=ComponentRef(space),
+            strategy=ComponentRef(name, {"budget": budget}),
+            seed=1,
+        )
+
+    @pytest.mark.parametrize("name", ["surrogate", "hillclimb"])
+    def test_registry_entry_runs_nsga2(self, name):
+        from repro.api import registry
+        from repro.core.search import DEFAULT_SEARCH_BUDGET
+
+        entry = registry.strategies.get(name)
+        assert entry.factory.strategy_class is NSGA2Search
+        assert dict(entry.defaults) == {"budget": DEFAULT_SEARCH_BUDGET}
+        assert entry.description == "retired; runs nsga2"
+
+    @pytest.mark.parametrize("name", ["surrogate", "hillclimb"])
+    def test_budget_only_spec_keeps_its_hash(self, name):
+        assert self.spec(name).spec_hash() == self.SPEC_HASHES[name]
+
+    @pytest.mark.parametrize("name", ["surrogate", "hillclimb"])
+    def test_budget_only_run_equals_the_nsga2_run(self, name):
+        from repro.api import Experiment
+
+        def records(strategy):
+            spec = self.spec(strategy, budget=15, space="compact")
+            database = Experiment(spec).run().database
+            return database.name, [record.as_dict() for record in database.records]
+
+        name_run, retired = records(name)
+        nsga2_name, nsga2 = records("nsga2")
+        assert name_run == nsga2_name and name_run.endswith("-nsga2")
+        assert retired == nsga2 and len(retired) == 15
