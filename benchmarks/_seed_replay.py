@@ -166,7 +166,6 @@ class SeedProfiler(Profiler):
         address_of = {}
         payload_accesses_by_pool = {}
         oom_failures = 0
-        footprint_timeline = []
 
         for event in trace:
             if event.is_alloc:
@@ -174,8 +173,6 @@ class SeedProfiler(Profiler):
                     address = allocator.malloc(event.size)
                 except OutOfMemoryError:
                     oom_failures += 1
-                    if self.options.fail_on_oom:
-                        raise
                     continue
                 address_of[event.request_id] = address
                 owner = allocator.owner_of(address)
@@ -189,20 +186,11 @@ class SeedProfiler(Profiler):
                 if address is None:
                     continue
                 allocator.free(address)
-            if self.options.track_footprint_timeline:
-                footprint_timeline.append(
-                    (event.timestamp, allocator.total_footprint)
-                )
 
         result = self._seed_collect(
             allocator, trace, configuration_id, payload_accesses_by_pool
         )
-        result.per_pool["__profile__"] = {
-            "oom_failures": oom_failures,
-            "footprint_timeline_points": len(footprint_timeline),
-        }
-        if self.options.track_footprint_timeline:
-            result.per_pool["__timeline__"] = footprint_timeline
+        result.per_pool["__profile__"] = {"oom_failures": oom_failures}
         return result
 
     def _seed_collect(

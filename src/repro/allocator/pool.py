@@ -19,8 +19,6 @@ module the pool is mapped onto.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .blocks import (
     DEFAULT_ALIGNMENT,
     Block,
@@ -46,16 +44,6 @@ from .stats import PoolStats
 #: fresh chunk (see :meth:`GeneralPool._grow_and_carve`).
 MIN_WILDERNESS_REMAINDER = MIN_REMAINDER_BYTES
 
-#: Default bound on the per-pool double-free detection set (``None`` keeps
-#: every freed address forever, the historical behaviour).  Long traces with
-#: high allocation churn make the set grow with the number of *distinct*
-#: freed addresses; set this (or :attr:`Pool.freed_address_limit` on a
-#: single pool) to keep only the most recently freed addresses.  Bounding
-#: the set never changes any metric — it only narrows the window in which a
-#: double free is diagnosed as :class:`DoubleFreeError` rather than the
-#: generic :class:`InvalidFreeError`.
-DEFAULT_FREED_ADDRESS_LIMIT: int | None = None
-
 
 class Pool:
     """Common interface and bookkeeping shared by every pool type."""
@@ -77,81 +65,6 @@ class Pool:
         self.stats = PoolStats()
         self._live: dict[int, Block] = {}
         self._freed_addresses: set[int] = set()
-        # Insertion-ordered shadow of _freed_addresses, maintained only when
-        # a bound is set.  It may contain stale entries — addresses recycled
-        # by a later allocation, or re-freed after recycling — so eviction
-        # consults _freed_counts (occurrences still in the deque) and only
-        # drops an address on its *last* occurrence, keeping the retained
-        # set the most recently freed addresses.
-        self._freed_order: deque[int] | None = None
-        self._freed_counts: dict[int, int] = {}
-        self._freed_limit: int | None = None
-        if DEFAULT_FREED_ADDRESS_LIMIT is not None:
-            self.freed_address_limit = DEFAULT_FREED_ADDRESS_LIMIT
-
-    @property
-    def freed_address_limit(self) -> int | None:
-        """Bound on the double-free detection set (``None`` = unlimited).
-
-        See :data:`DEFAULT_FREED_ADDRESS_LIMIT` for the trade-off.
-        """
-        return self._freed_limit
-
-    @freed_address_limit.setter
-    def freed_address_limit(self, limit: int | None) -> None:
-        if limit is not None and limit < 1:
-            raise ValueError(f"freed_address_limit must be >= 1, got {limit}")
-        self._freed_limit = limit
-        if limit is None:
-            self._freed_order = None
-            self._freed_counts = {}
-        else:
-            self._freed_order = deque(self._freed_addresses)
-            self._freed_counts = {address: 1 for address in self._freed_order}
-            self._trim_freed()
-
-    def _note_freed(self, address: int) -> None:
-        """Record ``address`` as freed, honouring the configured bound."""
-        self._freed_addresses.add(address)
-        order = self._freed_order
-        if order is not None:
-            order.append(address)
-            counts = self._freed_counts
-            counts[address] = counts.get(address, 0) + 1
-            if len(self._freed_addresses) > self._freed_limit:
-                self._trim_freed()
-            elif len(order) > 16 + 4 * self._freed_limit:
-                # Free/re-allocate cycles of the same few addresses never
-                # overflow the set, but would grow the deque without bound:
-                # rebuild it from the newest occurrence of each address.
-                self._compact_freed_order()
-
-    def _trim_freed(self) -> None:
-        freed = self._freed_addresses
-        order = self._freed_order
-        counts = self._freed_counts
-        limit = self._freed_limit
-        while len(freed) > limit and order:
-            address = order.popleft()
-            remaining = counts[address] - 1
-            if remaining:
-                # A newer occurrence of this address is still queued; the
-                # popped entry is stale, the address stays retained.
-                counts[address] = remaining
-                continue
-            del counts[address]
-            freed.discard(address)
-
-    def _compact_freed_order(self) -> None:
-        freed = self._freed_addresses
-        compacted: deque[int] = deque()
-        seen: set[int] = set()
-        for address in reversed(self._freed_order):
-            if address in freed and address not in seen:
-                seen.add(address)
-                compacted.appendleft(address)
-        self._freed_order = compacted
-        self._freed_counts = {address: 1 for address in compacted}
 
     # -- request routing ------------------------------------------------
 
@@ -193,7 +106,7 @@ class Pool:
             if address in self._freed_addresses:
                 raise DoubleFreeError(address)
             raise InvalidFreeError(address)
-        self._note_freed(address)
+        self._freed_addresses.add(address)
         self.stats.note_free(block.requested_size, block.size)
         block.mark_free()
         return block
@@ -222,9 +135,6 @@ class Pool:
         """Drop all state (used between exploration runs)."""
         self._live.clear()
         self._freed_addresses.clear()
-        if self._freed_order is not None:
-            self._freed_order.clear()
-            self._freed_counts.clear()
         self.space.reset()
         self.stats = PoolStats()
 
@@ -528,9 +438,6 @@ class RegionPool(Pool):
         """
         self._live.clear()
         self._freed_addresses.clear()
-        if self._freed_order is not None:
-            self._freed_order.clear()
-            self._freed_counts.clear()
         self._bump = 0
         self._chunk_end = 0
         released = self.stats.footprint

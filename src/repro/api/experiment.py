@@ -226,7 +226,9 @@ class Experiment:
             except registry.RegistryError as error:
                 # Strategy construction refused its params (see
                 # search_strategy_factory) — a spec problem, not a crash.
-                raise SpecError(f"strategy.params: {error}") from None
+                raise SpecError(
+                    f"strategy.params: strategy '{spec.strategy.name}': {error}"
+                ) from None
         finally:
             resolved.engine.close()
             if resolved.store is not None:

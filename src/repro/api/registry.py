@@ -245,6 +245,7 @@ def search_strategy_factory(cls: type[SearchStrategy]) -> Callable:
         # Construction errors (misspelled or out-of-range strategy params)
         # become clean RegistryErrors; only the construction is guarded, so
         # an error raised *during* the search still propagates untouched.
+        # The caller names the strategy: a retired name runs another class.
         try:
             strategy = cls(
                 engine,
@@ -253,7 +254,7 @@ def search_strategy_factory(cls: type[SearchStrategy]) -> Callable:
                 **params,
             )
         except (TypeError, ValueError) as error:
-            raise RegistryError(f"strategy '{cls.name}': {error}") from None
+            raise RegistryError(str(error)) from None
         return strategy.run(sink=sink)
 
     run_strategy.__doc__ = _docstring_summary(cls)

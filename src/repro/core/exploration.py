@@ -26,7 +26,7 @@ them to a pluggable :class:`EvaluationBackend`:
 
 Independently of the backend, the engine memoises evaluations by the
 canonicalised parameter point, so heuristic searches that revisit points
-(hill-climb restarts, evolutionary populations) never re-profile the trace;
+(evolutionary and NSGA-II populations) never re-profile the trace;
 the cache hit/miss counters are surfaced on the produced databases.
 
 Two further layers make large sweeps practical (see :mod:`repro.core.store`):
@@ -65,6 +65,10 @@ from .factory import AllocatorFactory
 from .parameters import ParameterSpace
 from .results import ExplorationRecord, Provenance, ResultDatabase, ResultSink
 from .store import METRIC_VERSION, ResultStore
+
+#: Label of the configuration at enumeration index ``i``:
+#: ``f"{LABEL_PREFIX}{i:05d}"`` (exhaustive sweeps and windowed analysis).
+LABEL_PREFIX = "cfg"
 
 
 @dataclass(frozen=True)
@@ -126,14 +130,7 @@ class ExplorationSettings:
     sample_seed: int = 0
     payload_access_factor: float = 2.0
     progress_every: int = 0
-    label_prefix: str = "cfg"
     shard: ShardSpec | None = None
-    #: Route cache-miss batches through the shared
-    #: :class:`~repro.profiling.batch.BatchReplayEngine` (one trace sweep
-    #: scores every configuration that shares a pool group) instead of one
-    #: full replay per point.  Byte-identical either way — the flag exists
-    #: for A/B tests and as an escape hatch, not because results differ.
-    batch_replay: bool = True
 
 
 def canonical_point_key(point: dict) -> tuple:
@@ -612,12 +609,9 @@ class ExplorationEngine:
         :class:`~repro.profiling.batch.BatchReplayEngine` scores the whole
         batch, so configurations that share pool groups share their
         simulations.  Configurations the batch kernel cannot express fall
-        back to a single replay inside the kernel; with
-        ``settings.batch_replay`` off, every point takes :meth:`run_point`.
-        Byte-identical either way.
+        back to a single replay inside the kernel.  Byte-identical to
+        :meth:`run_point` on every item.
         """
-        if not self.settings.batch_replay:
-            return [self.run_point(point, label=label) for point, label in items]
         batch = self._batch_engine()
         records = []
         for point, label in items:
@@ -847,7 +841,7 @@ class ExplorationEngine:
         a shard reports ``k/shard_total``, not its global indices.
         """
         items = [
-            (point, f"{self.settings.label_prefix}{index:05d}") for index, point in batch
+            (point, f"{LABEL_PREFIX}{index:05d}") for index, point in batch
         ]
         records = self.evaluate_points(items)
         for (_index, _point), record in zip(batch, records):

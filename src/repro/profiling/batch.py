@@ -40,8 +40,8 @@ and the same dedicated-size set share the general pool's entire replay.
   single-replay paths do.
 
 Byte identity with the single fast replay and the legacy event loop is the
-contract (``tests/test_batch_replay.py`` enforces it across the standard
-spaces).
+contract (``TestKernelIdentityAcrossSpaces`` in the batch-replay tests
+enforces it across the standard spaces).
 
 A dedicated pool that runs out of capacity *spills*: the composed allocator
 hands the request on to the general pool.  A strict fixed or slab pool that
@@ -60,9 +60,8 @@ simulation.
 Only what the stream partition cannot express takes a single replay per
 configuration (:meth:`BatchReplayEngine._run_single`): non-standard pool
 stacks (anything but strict fixed/slab pools in front of an unbounded
-general pool), profiler options that observe per-event state
-(``fail_on_oom``, ``track_footprint_timeline``), traces with live
-request-id rebinding, and ``fast_replay=False``.
+general pool), traces with live request-id rebinding, and
+``fast_replay=False``.
 
 The general-pool kernel replicates :class:`~repro.allocator.pool
 .GeneralPool` counter-for-counter on flat integers: fit-scan visit counts,
@@ -246,8 +245,9 @@ def _simulate_general(
     lazily-built NumPy mirrors for long scans), which is what buys the
     batch path its per-event speed over the object-per-block pool.  The
     charge sequence replicates ``GeneralPool.allocate``/``free`` exactly;
-    ``tests/test_batch_replay.py`` sweeps every policy combination against
-    both replay oracles to hold the kernel to byte identity.
+    ``TestKernelIdentityAcrossPolicies`` in the batch-replay tests sweeps
+    every policy combination against both replay oracles to hold the kernel
+    to byte identity.
 
     Addresses are pool-relative (base 0): every ``PoolStats`` field is
     invariant under a uniform translation of the pool's base address.
@@ -877,9 +877,8 @@ class BatchReplayEngine:
         per-pool capacities the kernels enforce) and to build real
         allocators for the configurations the batch kernel cannot express.
     energy_model / options:
-        As for :class:`Profiler`; options that observe per-event state
-        (``fail_on_oom``, ``track_footprint_timeline``) or disable the fast
-        replay route every configuration through the single-replay path.
+        As for :class:`Profiler`; ``fast_replay=False`` routes every
+        configuration through the single-replay path.
 
     The engine is long-lived on purpose: all stream partitions and group
     simulations are cached across :meth:`run_configuration` calls, so a
@@ -1107,13 +1106,7 @@ class BatchReplayEngine:
         partition can express, sending the caller down the single-replay
         path.
         """
-        options = self.options
-        if (
-            not options.fast_replay
-            or options.fail_on_oom
-            or options.track_footprint_timeline
-            or self.compiled.has_live_rebinding
-        ):
+        if not self.options.fast_replay or self.compiled.has_live_rebinding:
             return None
         pools = configuration.pools
         general = pools[-1]
@@ -1202,10 +1195,7 @@ class BatchReplayEngine:
             configuration.configuration_id,
             payload_by_pool,
         )
-        result.per_pool["__profile__"] = {
-            "oom_failures": oom_failures,
-            "footprint_timeline_points": 0,
-        }
+        result.per_pool["__profile__"] = {"oom_failures": oom_failures}
         self.batched_configurations += 1
         return result
 

@@ -28,7 +28,13 @@ One replay kernel and one oracle produce byte-identical results:
   ``ProfilerOptions(fast_replay=False)``) walks the event objects and calls
   ``malloc``/``free`` per event.  It is the only oracle: the executable
   specification the fast kernel is tested against (see
-  ``tests/test_fast_replay.py`` and ``tests/test_stream.py``).
+  ``tests/test_fast_replay.py`` and ``tests/test_stream.py``).  Outside
+  that mode it serves only what the kernel cannot: allocators of a
+  subclassed type and traces that re-bind a live request id.
+
+Every path records the same ``per_pool["__profile__"]`` section,
+``{"oom_failures": N}``: allocations that found no pool with room are
+counted and skipped, and their frees are skipped with them.
 """
 
 from __future__ import annotations
@@ -59,8 +65,6 @@ class ProfilerOptions:
     """Tunables of the profiling run."""
 
     payload_access_factor: float = DEFAULT_PAYLOAD_ACCESS_FACTOR
-    fail_on_oom: bool = False
-    track_footprint_timeline: bool = False
     #: Replay over the compiled (columnar) trace form.  The fast path is
     #: byte-identical to the legacy event loop on every metric; disable it
     #: only to measure or to cross-check (the identity tests do).
@@ -111,17 +115,14 @@ class Profiler:
         events: Iterable[AllocationEvent],
         address_of: dict[int, int],
         payload_accesses_by_pool: dict[str, float],
-        footprint_timeline: list[tuple[int, int]],
     ) -> int:
         """Replay the event objects one by one (the reference semantics).
 
-        Live addresses, payload accesses and the footprint timeline
-        accumulate into the containers passed in, so a session can carry
-        them across segments; returns the number of failed allocations.
+        Live addresses and payload accesses accumulate into the containers
+        passed in, so a session can carry them across segments; returns the
+        number of failed allocations.
         """
         factor = self.options.payload_access_factor
-        fail_on_oom = self.options.fail_on_oom
-        track_timeline = self.options.track_footprint_timeline
         oom_failures = 0
         for event in events:
             if event.is_alloc:
@@ -129,8 +130,6 @@ class Profiler:
                     address = allocator.malloc(event.size)
                 except OutOfMemoryError:
                     oom_failures += 1
-                    if fail_on_oom:
-                        raise
                     continue
                 address_of[event.request_id] = address
                 owner = allocator.owner_of(address)
@@ -145,8 +144,6 @@ class Profiler:
                     # The matching allocation failed (OOM) and was skipped.
                     continue
                 allocator.free(address)
-            if track_timeline:
-                footprint_timeline.append((event.timestamp, allocator.total_footprint))
         return oom_failures
 
     def _collect(
@@ -230,8 +227,8 @@ class SegmentReplaySession:
       segment (``slot < slot_base``) releases through the owning pool
       exactly as :meth:`ComposedAllocator.free` would (dispatch charge,
       owner-map pop, ``pool.free``);
-    * payload-access attribution, OOM counts and the footprint timeline
-      accumulate across segments in event order.
+    * payload-access attribution and OOM counts accumulate across segments
+      in event order.
 
     Between segments the caller may take a :meth:`snapshot` — a cumulative
     :class:`ProfileResult` at the segment boundary — which is what windowed
@@ -259,9 +256,7 @@ class SegmentReplaySession:
         # exact type takes it.
         self._fast = bool(options.fast_replay) and type(allocator) is ComposedAllocator
         self.oom_failures = 0
-        self.footprint_timeline: list[tuple[int, int]] = []
         self.events_seen = 0
-        self.segments_replayed = 0
         #: global slot -> (address, pool position, payload size) of
         #: allocations alive across a segment boundary (fast mode).
         self._survivors: dict[int, tuple[int, int, int]] = {}
@@ -290,7 +285,6 @@ class SegmentReplaySession:
         else:
             self._replay_events(segment.events())
         self.events_seen += len(segment)
-        self.segments_replayed += 1
 
     def _replay_events(self, events: Iterable[AllocationEvent]) -> None:
         """Event-loop replay (the reference semantics) on the carried state."""
@@ -299,7 +293,6 @@ class SegmentReplaySession:
             events,
             self._address_of,
             self._payload_by_name,
-            self.footprint_timeline,
         )
 
     def _replay_segment_fast(self, segment: CompiledTrace) -> None:
@@ -312,13 +305,10 @@ class SegmentReplaySession:
         allocator = self.allocator
         options = self.profiler.options
         factor = options.payload_access_factor
-        fail_on_oom = options.fail_on_oom
-        track_timeline = options.track_footprint_timeline
 
         kinds = segment.kinds
         sizes = segment.sizes
         slots = segment.slots
-        timestamps = segment.timestamps
         slot_sizes = segment.slot_sizes
         slot_base = segment.slot_base
 
@@ -329,7 +319,6 @@ class SegmentReplaySession:
         stats_of = [pool.stats for pool in pools]
         live_of = [pool._live for pool in pools]
         freed_of = [pool._freed_addresses for pool in pools]
-        freed_bounded = [pool._freed_order is not None for pool in pools]
         gross_of = [getattr(pool, "gross_size", 0) for pool in pools]
         spaces = [pool.space for pool in pools]
         payload_totals = self._payload_totals
@@ -386,21 +375,18 @@ class SegmentReplaySession:
         if owners is None:  # pragma: no cover - absurd pool count
             owners = [0] * segment.slot_count
         oom_failures = 0
-        footprint_timeline = self.footprint_timeline
         dispatch = 0
 
         def allocate_slow(size: int, entries: tuple) -> tuple:
             """Route ``size`` along the plan: cold kernel pools (grow and
             carve), non-kernel pools and capacity spills.  Returns
-            ``(address, position, last_oom)``, ``address`` None on OOM."""
-            last_oom = None
+            ``(address, position)``, ``address`` None on OOM."""
             for pool, position in entries:
                 stack = int_stacks[position]
                 if stack is None:
                     try:
-                        return pool.allocate(size), position, None
-                    except OutOfMemoryError as exc:
-                        last_oom = exc
+                        return pool.allocate(size), position
+                    except OutOfMemoryError:
                         continue
                 stats = stats_of[position]
                 if stack:
@@ -414,9 +400,8 @@ class SegmentReplaySession:
                     gross = gross_of[position]
                     try:
                         grown = spaces[position].grow(gross)
-                    except OutOfMemoryError as exc:
+                    except OutOfMemoryError:
                         stats.failed_allocs += 1
-                        last_oom = exc
                         continue
                     footprint = stats.footprint + grown.size
                     stats.footprint = footprint
@@ -438,8 +423,8 @@ class SegmentReplaySession:
                 if live_payload > stats.peak_live_payload:
                     stats.peak_live_payload = live_payload
                 freed_of[position].discard(address)
-                return address, position, None
-            return None, -1, last_oom
+                return address, position
+            return None, -1
 
         try:
             for index, kind in enumerate(kinds):
@@ -480,18 +465,10 @@ class SegmentReplaySession:
                             if not payload_touched[first]:
                                 payload_touched[first] = True
                                 payload_order.append(first)
-                            if track_timeline:
-                                footprint_timeline.append(
-                                    (timestamps[index], allocator.total_footprint)
-                                )
                             continue
-                    address, position, last_oom = allocate_slow(size, entries)
+                    address, position = allocate_slow(size, entries)
                     if address is None:
                         oom_failures += 1
-                        if fail_on_oom:
-                            if last_oom is not None:
-                                raise last_oom
-                            raise OutOfMemoryError(size, pool=allocator.name)
                         continue
                     local = slots[index] - slot_base
                     addresses[local] = address
@@ -518,10 +495,7 @@ class SegmentReplaySession:
                             # Inline FixedSizePool free: header read +
                             # free-list link write (batched into
                             # warm_frees), push the address back.
-                            if freed_bounded[position]:
-                                pools[position]._note_freed(address)
-                            else:
-                                freed_of[position].add(address)
+                            freed_of[position].add(address)
                             warm_frees[position] += 1
                             stats_of[position].live_payload -= slot_sizes[local]
                             stack.append(address)
@@ -541,10 +515,6 @@ class SegmentReplaySession:
                     else:
                         # Never-allocated id or double free: skipped.
                         continue
-                if track_timeline:
-                    footprint_timeline.append(
-                        (timestamps[index], allocator.total_footprint)
-                    )
         finally:
             allocator._dispatch_accesses += dispatch
             for position in range(pool_count):
@@ -632,12 +602,7 @@ class SegmentReplaySession:
         ``__profile__`` section).
         """
         result = self.snapshot(configuration_id)
-        result.per_pool["__profile__"] = {
-            "oom_failures": self.oom_failures,
-            "footprint_timeline_points": len(self.footprint_timeline),
-        }
-        if self.profiler.options.track_footprint_timeline:
-            result.per_pool["__timeline__"] = self.footprint_timeline
+        result.per_pool["__profile__"] = {"oom_failures": self.oom_failures}
         return result
 
 

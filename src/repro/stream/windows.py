@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from ..core.exploration import LABEL_PREFIX
 from ..core.pareto import IncrementalParetoFront
 from ..core.results import ExplorationRecord, ResultDatabase
 from ..profiling.compiled import CompiledTrace, SegmentedTraceCompiler
@@ -257,7 +258,7 @@ def windowed_exploration(
     )
     store = engine.store
     for index, point in engine.enumerate_points():
-        label = f"{engine.settings.label_prefix}{index:05d}"
+        label = f"{LABEL_PREFIX}{index:05d}"
         configuration = engine.configuration_for(point, label=label)
         built = engine.factory.build(configuration)
         profiler = Profiler(

@@ -25,7 +25,6 @@ from repro.allocator.splitting import SPLITTING_POLICIES
 from repro.core.configuration import configuration_from_point
 from repro.core.exploration import (
     ExplorationEngine,
-    ExplorationSettings,
     ProcessPoolBackend,
     SerialBackend,
 )
@@ -146,6 +145,7 @@ class TestOOMSpill:
             batch = engine.run_configuration(configuration)
             fast = single_replay(trace, configuration, hierarchy)
             assert result_bytes(batch) == result_bytes(fast), point
+            assert set(batch.per_pool["__profile__"]) == {"oom_failures"}
             if legacy:
                 slow = single_replay(trace, configuration, hierarchy, fast=False)
                 assert result_bytes(batch) == result_bytes(slow), point
@@ -297,8 +297,15 @@ class TestBehaviourKeys:
         assert len(unbounded) == len(classes) < 180
 
 
+class PerPointEngine(ExplorationEngine):
+    """An engine whose batches take one single replay per point."""
+
+    def run_points(self, items):
+        return [self.run_point(point, label=label) for point, label in items]
+
+
 class TestEngineLevelIdentity:
-    """batch_replay on vs off through ExplorationEngine: same database."""
+    """Batch vs per-point replay through ExplorationEngine: same database."""
 
     def database_rows(self, database):
         return [
@@ -311,16 +318,14 @@ class TestEngineLevelIdentity:
             for record in database.records
         ]
 
-    def explore_with(self, trace, batch_replay, store=None, backend=None):
-        engine = ExplorationEngine(
-            STANDARD_SPACES["smoke"](),
-            trace,
-            settings=ExplorationSettings(batch_replay=batch_replay),
-            store=store,
-            backend=backend,
-        )
+    def explore_with(self, trace, batched, store=None):
+        engine_class = ExplorationEngine if batched else PerPointEngine
+        engine = engine_class(STANDARD_SPACES["smoke"](), trace, store=store)
         try:
-            return self.database_rows(engine.explore())
+            rows = self.database_rows(engine.explore())
+            # The batch kernel scored the batched run, and only that one.
+            assert (engine._batch is not None) == batched
+            return rows
         finally:
             engine.close()
 

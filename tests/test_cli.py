@@ -283,6 +283,24 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_retired_strategy_bad_value_names_the_spec_strategy(
+        self, tmp_path, capsys
+    ):
+        """A param value NSGA-II refuses is reported under the name the spec
+        gave, not under the class that runs it."""
+        spec_path = self.spec_file(tmp_path)
+        out = tmp_path / "out.json"
+        args = ["run", str(spec_path), "--out", str(out)]
+        args += ["--set", "strategy.name=surrogate"]
+        args += ["--set", "strategy.params.population=1"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: strategy.params: strategy 'surrogate':")
+        assert "population" in err and "nsga2" not in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("retired", ["surrogate", "hillclimb"])
     def test_retired_strategy_flag_runs_nsga2(self, tmp_path, capsys, retired):
         """``--strategy hillclimb`` (or ``surrogate``) runs NSGA-II: the same

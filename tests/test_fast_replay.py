@@ -4,8 +4,7 @@ The legacy event loop (``ProfilerOptions(fast_replay=False)``) is the
 executable specification; the fast path must reproduce its
 :class:`~repro.profiling.metrics.ProfileResult` *exactly* — every counter
 of every pool, every level breakdown, every metric bit — across every
-standard parameter space, for OOM-skipping traces, for ``fail_on_oom`` and
-for the footprint-timeline mode.  The allocator object the replay leaves
+standard parameter space and for OOM-skipping traces.  The allocator object the replay leaves
 behind must match too (owner map, live tables, free lists, freed sets),
 because engines reuse and inspect it.
 """
@@ -74,7 +73,7 @@ def allocator_state(allocator):
     return json.dumps(state, sort_keys=True)
 
 
-def run_both(trace, point, hierarchy=None, **option_kwargs):
+def run_both(trace, point, hierarchy=None):
     """Profile ``point`` with the fast and the legacy path; return both."""
     hierarchy = hierarchy or embedded_two_level()
     factory = AllocatorFactory(hierarchy)
@@ -90,7 +89,7 @@ def run_both(trace, point, hierarchy=None, **option_kwargs):
         built = factory.build(configuration)
         profiler = Profiler(
             built.mapping,
-            options=ProfilerOptions(fast_replay=fast, **option_kwargs),
+            options=ProfilerOptions(fast_replay=fast),
         )
         result = profiler.run(built.allocator, trace, "under-test")
         outcomes.append((result, built.allocator))
@@ -133,44 +132,6 @@ class TestByteIdentityUnderOOM:
             oom = fast_result.per_pool["__profile__"]["oom_failures"]
             saw_oom = saw_oom or oom > 0
         assert saw_oom, "OOM scenario never triggered; shrink the hierarchy"
-
-    def test_fail_on_oom_raises_identically(self):
-        trace = EasyportWorkload(packets=400).generate(seed=7)
-        hierarchy = embedded_two_level(scratchpad_size=1024, main_size=8192)
-        point = self.oom_point()[0]
-        errors = []
-        for fast in (True, False):
-            factory = AllocatorFactory(hierarchy)
-            configuration = configuration_from_point(
-                point,
-                hot_sizes=trace.hot_sizes(top=8),
-                scratchpad_module=hierarchy.fastest.name,
-                main_module=hierarchy.background_module.name,
-            )
-            built = factory.build(configuration)
-            profiler = Profiler(
-                built.mapping,
-                options=ProfilerOptions(fast_replay=fast, fail_on_oom=True),
-            )
-            with pytest.raises(Exception) as excinfo:
-                profiler.run(built.allocator, trace, "oom")
-            errors.append((type(excinfo.value).__name__, str(excinfo.value)))
-        assert errors[0] == errors[1]
-
-
-class TestByteIdentityTimeline:
-    def test_footprint_timeline_identical(self, workload_trace):
-        _name, trace = workload_trace
-        space = STANDARD_SPACES["smoke"]()
-        for point in space.sample(2, seed=5):
-            (fast_result, _), (legacy_result, _) = run_both(
-                trace, point, track_footprint_timeline=True
-            )
-            assert (
-                fast_result.per_pool["__timeline__"]
-                == legacy_result.per_pool["__timeline__"]
-            )
-            assert result_bytes(fast_result) == result_bytes(legacy_result)
 
 
 class TestCollectUsesCachedLength:

@@ -65,6 +65,33 @@ class TestFixedSizePool:
         with pytest.raises(DoubleFreeError):
             pool.free(address)
 
+    def test_every_freed_address_is_remembered(self):
+        pool = FixedSizePool("p", 32)
+        addresses = [pool.allocate(32) for _ in range(64)]
+        for address in addresses:
+            pool.free(address)
+        assert len(pool._freed_addresses) == 64
+        # The oldest free is still diagnosed precisely.
+        with pytest.raises(DoubleFreeError):
+            pool.free(addresses[0])
+
+    def test_recycled_address_frees_once(self):
+        pool = FixedSizePool("p", 32)
+        address = pool.allocate(32)
+        pool.free(address)
+        again = pool.allocate(32)  # LIFO recycles the same address
+        assert again == address
+        pool.free(again)  # a valid free, not a double free
+        with pytest.raises(DoubleFreeError):
+            pool.free(again)
+
+    def test_reset_clears_freed_addresses(self):
+        pool = FixedSizePool("p", 32)
+        address = pool.allocate(32)
+        pool.free(address)
+        pool.reset()
+        assert len(pool._freed_addresses) == 0
+
     def test_invalid_free_detected(self):
         pool = FixedSizePool("p", 64)
         with pytest.raises(InvalidFreeError):
@@ -395,139 +422,3 @@ class TestComposedAllocator:
         assert not allocator.check_all_freed()
         allocator.free(address)
         assert allocator.check_all_freed()
-
-
-class TestFreedAddressLimit:
-    """Bounding the double-free detection set (perf option).
-
-    Unbounded (the default), every address ever freed is remembered so any
-    double free is diagnosed as DoubleFreeError.  With a bound, only the
-    most recently freed addresses keep the precise diagnosis — older ones
-    degrade to InvalidFreeError — and no metric is affected either way.
-    """
-
-    def test_unbounded_by_default(self):
-        pool = FixedSizePool("fixed", block_size=32)
-        assert pool.freed_address_limit is None
-        addresses = [pool.allocate(32) for _ in range(64)]
-        for address in addresses:
-            pool.free(address)
-        assert len(pool._freed_addresses) == 64
-
-    def test_bound_caps_set_size(self):
-        pool = FixedSizePool("fixed", block_size=32)
-        pool.freed_address_limit = 8
-        addresses = [pool.allocate(32) for _ in range(64)]
-        for address in addresses:
-            pool.free(address)
-        assert len(pool._freed_addresses) <= 8
-
-    def test_recent_double_free_still_precise(self):
-        pool = FixedSizePool("fixed", block_size=32)
-        pool.freed_address_limit = 8
-        address = pool.allocate(32)
-        pool.free(address)
-        with pytest.raises(DoubleFreeError):
-            pool.free(address)
-
-    def test_evicted_double_free_degrades_to_invalid(self):
-        pool = FixedSizePool("fixed", block_size=32)
-        pool.freed_address_limit = 4
-        # Twelve concurrently live blocks → twelve distinct addresses; the
-        # frees then push the first address out of the bounded window.
-        addresses = [pool.allocate(32) for _ in range(12)]
-        for address in addresses:
-            pool.free(address)
-        assert addresses[0] not in pool._freed_addresses
-        with pytest.raises(InvalidFreeError):
-            pool.free(addresses[0])
-
-    def test_bound_can_be_set_on_live_pool(self):
-        pool = FixedSizePool("fixed", block_size=16)
-        addresses = [pool.allocate(16) for _ in range(32)]
-        for address in addresses:
-            pool.free(address)
-        pool.freed_address_limit = 4
-        assert len(pool._freed_addresses) <= 4
-        pool.freed_address_limit = None
-        assert pool._freed_order is None
-
-    def test_invalid_bound_rejected(self):
-        pool = FixedSizePool("fixed", block_size=16)
-        with pytest.raises(ValueError):
-            pool.freed_address_limit = 0
-
-    def test_reallocation_keeps_detection_correct(self):
-        pool = FixedSizePool("fixed", block_size=32)
-        pool.freed_address_limit = 4
-        address = pool.allocate(32)
-        pool.free(address)
-        again = pool.allocate(32)  # LIFO recycles the same address
-        assert again == address
-        pool.free(again)  # a valid free, not a double free
-        with pytest.raises(DoubleFreeError):
-            pool.free(again)
-
-    def test_reset_clears_bound_state(self):
-        pool = FixedSizePool("fixed", block_size=32)
-        pool.freed_address_limit = 4
-        address = pool.allocate(32)
-        pool.free(address)
-        pool.reset()
-        assert len(pool._freed_addresses) == 0
-        assert pool.freed_address_limit == 4  # the option survives reset
-
-    def test_metrics_unaffected_by_bound(self):
-        def run(limit):
-            pool = FixedSizePool("fixed", block_size=48, chunk_blocks=4)
-            if limit is not None:
-                pool.freed_address_limit = limit
-            live = []
-            for round_ in range(6):
-                live.extend(pool.allocate(48) for _ in range(8))
-                for _ in range(5):
-                    pool.free(live.pop())
-            for address in live:
-                pool.free(address)
-            return pool.stats.snapshot()
-
-        assert run(None) == run(3)
-
-    def test_default_limit_module_switch(self):
-        from repro.allocator import pool as pool_module
-
-        try:
-            pool_module.DEFAULT_FREED_ADDRESS_LIMIT = 16
-            pool = FixedSizePool("fixed", block_size=32)
-            assert pool.freed_address_limit == 16
-        finally:
-            pool_module.DEFAULT_FREED_ADDRESS_LIMIT = None
-
-    def test_eviction_respects_refreed_addresses(self):
-        """A re-freed recycled address must not be evicted by its stale entry."""
-        pool = FixedSizePool("fixed", block_size=32)
-        pool.freed_address_limit = 2
-        x = pool.allocate(32)
-        y_live = pool.allocate(32)
-        z_live = pool.allocate(32)
-        pool.free(x)
-        x_again = pool.allocate(32)  # recycles x (stale deque entry remains)
-        assert x_again == x
-        pool.free(y_live)
-        pool.free(x_again)  # x freed again — newest entry
-        pool.free(z_live)   # overflows the bound; must evict y, not x
-        assert x in pool._freed_addresses
-        assert z_live in pool._freed_addresses
-        assert y_live not in pool._freed_addresses
-        with pytest.raises(DoubleFreeError):
-            pool.free(x)
-
-    def test_freed_order_compacts_under_recycling_churn(self):
-        """Same-address free/realloc cycles must not grow the deque unboundedly."""
-        pool = FixedSizePool("fixed", block_size=32)
-        pool.freed_address_limit = 2
-        address = pool.allocate(32)
-        for _ in range(500):
-            pool.free(address)
-            assert pool.allocate(32) == address
-        assert len(pool._freed_order) <= 16 + 4 * 2 + 1

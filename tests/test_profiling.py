@@ -214,25 +214,6 @@ class TestProfiler:
         result = profile_trace(allocator, trace, mapping)
         assert result.per_pool["__profile__"]["oom_failures"] > 0
 
-    def test_oom_raises_when_requested(self):
-        hierarchy = embedded_two_level(main_size=4096)
-        mapping = PoolMapping(hierarchy)
-        mapping.place_pool("general", "main_memory")
-        general = GeneralPool("general", address_space=mapping.address_space_for("general"))
-        allocator = ComposedAllocator([general])
-        events = [alloc(i, 1024, timestamp=i) for i in range(10)]
-        trace = AllocationTrace(events, name="oom")
-        profiler = Profiler(mapping, options=ProfilerOptions(fail_on_oom=True))
-        with pytest.raises(Exception):
-            profiler.run(allocator, trace)
-
-    def test_footprint_timeline(self):
-        allocator, mapping, _ = build_profiling_setup()
-        profiler = Profiler(mapping, options=ProfilerOptions(track_footprint_timeline=True))
-        result = profiler.run(allocator, self.make_trace(10))
-        assert result.per_pool["__profile__"]["footprint_timeline_points"] == 20
-        assert len(result.per_pool["__timeline__"]) == 20
-
     def test_scratchpad_mapping_lowers_energy(self):
         trace = self.make_trace()
         hot_allocator, hot_mapping, _ = build_profiling_setup()

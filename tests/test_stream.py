@@ -17,7 +17,7 @@ import pytest
 from repro.allocator.composed import ComposedAllocator
 from repro.api import registry
 from repro.core.configuration import configuration_from_point
-from repro.core.exploration import ExplorationEngine
+from repro.core.exploration import LABEL_PREFIX, ExplorationEngine
 from repro.core.factory import AllocatorFactory
 from repro.core.reporting import exploration_report
 from repro.core.results import ResultDatabase
@@ -598,7 +598,7 @@ class TestWindows:
         shadow = ExplorationEngine(space, trace)
         per_config = {}
         for index, point in shadow.enumerate_points():
-            label = f"{shadow.settings.label_prefix}{index:05d}"
+            label = f"{LABEL_PREFIX}{index:05d}"
             configuration = shadow.configuration_for(point, label=label)
             built = shadow.factory.build(configuration)
             profiler = Profiler(built.mapping, energy_model=shadow.energy_model)
