@@ -3,7 +3,12 @@
 import pytest
 
 from repro.core.configuration import AllocatorConfiguration, PoolSpec
-from repro.core.exploration import ExplorationEngine, ExplorationSettings, explore
+from repro.core.exploration import (
+    LABEL_PREFIX,
+    ExplorationEngine,
+    ExplorationSettings,
+    explore,
+)
 from repro.core.results import ExplorationRecord, ResultDatabase
 from repro.core.space import smoke_parameter_space
 from repro.core.tradeoff import TradeoffAnalysis, compare_against_baseline
@@ -110,6 +115,33 @@ class TestExplorationEngine:
         )
         record = engine.run_point(smoke_parameter_space().point_at(0))
         assert record.metrics.accesses > 0
+
+
+    def test_run_points_batches_and_matches_run_point(self, small_trace):
+        engine = ExplorationEngine(smoke_parameter_space(), small_trace)
+        items = [
+            (point, f"p{index}")
+            for index, point in list(engine.enumerate_points())[:4]
+        ]
+        batched = engine.run_points(items)
+        assert engine._batch is not None
+        assert engine._batch.batched_configurations > 0
+        for (point, label), record in zip(items, batched):
+            single = engine.run_point(point, label=label)
+            assert record.metrics == single.metrics
+            assert record.oom_failures == single.oom_failures
+            assert record.configuration.label == label
+
+    def test_labels_follow_enumeration_index(self, smoke_database):
+        labels = [record.configuration.label for record in smoke_database]
+        assert labels == [f"{LABEL_PREFIX}{i:05d}" for i in range(len(labels))]
+        assert LABEL_PREFIX == "cfg"
+
+    @pytest.mark.parametrize("name", ["batch_replay", "label_prefix"])
+    def test_retired_settings_are_refused(self, name):
+        """Settings that no longer exist fail loudly instead of being ignored."""
+        with pytest.raises(TypeError, match=name):
+            ExplorationSettings(**{name: False})
 
 
 class TestResultDatabase:

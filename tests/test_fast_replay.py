@@ -6,7 +6,8 @@ executable specification; the fast path must reproduce its
 of every pool, every level breakdown, every metric bit — across every
 standard parameter space and for OOM-skipping traces.  The allocator object the replay leaves
 behind must match too (owner map, live tables, free lists, freed sets),
-because engines reuse and inspect it.
+because engines reuse and inspect it.  All four replay paths (fast, event
+loop, batch kernel, seed snapshot) write the same ``__profile__`` section.
 """
 
 import json
@@ -17,10 +18,13 @@ from repro.core.configuration import configuration_from_point
 from repro.core.factory import AllocatorFactory
 from repro.core.space import STANDARD_SPACES
 from repro.memhier.hierarchy import embedded_two_level
+from repro.profiling.batch import BatchReplayEngine
 from repro.profiling.profiler import Profiler, ProfilerOptions
 from repro.workloads.easyport import EasyportWorkload
 from repro.workloads.synthetic import PhasedWorkload, UniformRandomWorkload
 from repro.workloads.vtc import VTCWorkload
+
+from benchmarks._seed_replay import SeedProfiler, seedify_allocator
 
 #: Points sampled per parameter space (each is profiled twice per mode).
 POINTS_PER_SPACE = 4
@@ -132,6 +136,59 @@ class TestByteIdentityUnderOOM:
             oom = fast_result.per_pool["__profile__"]["oom_failures"]
             saw_oom = saw_oom or oom > 0
         assert saw_oom, "OOM scenario never triggered; shrink the hierarchy"
+
+
+class TestProfileSection:
+    """Every replay path writes the same ``__profile__`` section.
+
+    The fast kernel, the event loop, the batch kernel and the seed snapshot
+    all record ``{"oom_failures": N}`` with the same ``N``, and no path
+    adds a per-event section (such as a footprint timeline) to the result.
+    """
+
+    HIERARCHIES = {
+        "roomy": embedded_two_level,
+        # Small enough that every sampled point spills, and some run out.
+        "tiny": lambda: embedded_two_level(scratchpad_size=2048, main_size=16384),
+    }
+
+    def results_by_path(self, trace, point, hierarchy):
+        factory = AllocatorFactory(hierarchy)
+        configuration = configuration_from_point(
+            point,
+            hot_sizes=trace.hot_sizes(top=8),
+            scratchpad_module=hierarchy.fastest.name,
+            main_module=hierarchy.background_module.name,
+        )
+        results = {}
+        for path, fast in (("fast", True), ("event-loop", False)):
+            built = factory.build(configuration)
+            profiler = Profiler(built.mapping, options=ProfilerOptions(fast_replay=fast))
+            results[path] = profiler.run(built.allocator, trace, "under-test")
+        batch = BatchReplayEngine(trace, factory)
+        results["batch"] = batch.run_configuration(configuration)
+        built = factory.build(configuration)
+        seed = SeedProfiler(built.mapping)
+        results["seed"] = seed.run(seedify_allocator(built.allocator), trace, "seed")
+        return results
+
+    @pytest.mark.parametrize("hierarchy_name", sorted(HIERARCHIES))
+    def test_every_path_records_only_oom_failures(self, hierarchy_name, workload_trace):
+        _name, trace = workload_trace
+        hierarchy = self.HIERARCHIES[hierarchy_name]()
+        space = STANDARD_SPACES["default"]()
+        counts = []
+        for point in space.sample(3, seed=2):
+            results = self.results_by_path(trace, point, hierarchy)
+            sections = {path: r.per_pool["__profile__"] for path, r in results.items()}
+            expected = {"oom_failures": sections["event-loop"]["oom_failures"]}
+            assert sections == dict.fromkeys(results, expected), point
+            keys = {path: set(r.per_pool) for path, r in results.items()}
+            assert keys == dict.fromkeys(results, keys["event-loop"]), point
+            assert "__timeline__" not in keys["event-loop"]
+            counts.append(expected["oom_failures"])
+        if hierarchy_name == "tiny":
+            assert max(counts) > 0, "OOM scenario never triggered; shrink the hierarchy"
 
 
 class TestCollectUsesCachedLength:

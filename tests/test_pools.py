@@ -224,6 +224,20 @@ class TestRegionPool:
         assert pool.live_blocks == 0
 
 
+    def test_reset_region_clears_freed_addresses(self):
+        pool = RegionPool("r")
+        address = pool.allocate(100)
+        pool.free(address)
+        with pytest.raises(DoubleFreeError):
+            pool.free(address)
+        pool.reset_region()
+        assert len(pool._freed_addresses) == 0
+        # After the reset the address was never handed out: not a double free.
+        with pytest.raises(InvalidFreeError) as excinfo:
+            pool.free(address)
+        assert not isinstance(excinfo.value, DoubleFreeError)
+
+
 class TestSlabPool:
     def test_allocate_free_roundtrip(self):
         pool = SlabPool("s", 64)
@@ -422,3 +436,29 @@ class TestComposedAllocator:
         assert not allocator.check_all_freed()
         allocator.free(address)
         assert allocator.check_all_freed()
+
+
+#: One small pool of every kind, each serving 32-byte requests.
+POOL_KINDS = {
+    "buddy": lambda: BuddyPool("p", arena_size=4096, min_block=32),
+    "fixed": lambda: FixedSizePool("p", 32),
+    "general": lambda: GeneralPool("p"),
+    "region": lambda: RegionPool("p"),
+    "segregated": lambda: SegregatedFitPool("p", size_classes=exact_size_classes([32])),
+    "slab": lambda: SlabPool("p", 32, release_empty=False),
+}
+
+
+class TestDoubleFreeDetection:
+    """Every pool kind remembers every address it freed until reset."""
+
+    @pytest.mark.parametrize("kind", sorted(POOL_KINDS))
+    def test_oldest_double_free_is_diagnosed(self, kind):
+        pool = POOL_KINDS[kind]()
+        addresses = [pool.allocate(32) for _ in range(16)]
+        for address in addresses:
+            pool.free(address)
+        assert set(addresses) <= pool._freed_addresses
+        with pytest.raises(DoubleFreeError):
+            pool.free(addresses[0])
+        assert pool.stats.free_ops == 16

@@ -214,6 +214,40 @@ class TestProfiler:
         result = profile_trace(allocator, trace, mapping)
         assert result.per_pool["__profile__"]["oom_failures"] > 0
 
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "event-loop"])
+    def test_oom_counted_and_its_free_skipped(self, fast):
+        """A failed allocation is counted once; its later free is a no-op."""
+        hierarchy = embedded_two_level(main_size=4096)
+        mapping = PoolMapping(hierarchy)
+        mapping.place_pool("general", "main_memory")
+        general = GeneralPool("general", address_space=mapping.address_space_for("general"))
+        allocator = ComposedAllocator([general])
+        events = [alloc(i, 1024, timestamp=i) for i in range(10)]
+        events += [free(i, timestamp=10 + i) for i in range(10)]
+        trace = AllocationTrace(events, name="oom")
+        profiler = Profiler(mapping, options=ProfilerOptions(fast_replay=fast))
+        result = profiler.run(allocator, trace)
+        failures = result.per_pool["__profile__"]["oom_failures"]
+        assert 0 < failures < 10
+        assert general.stats.alloc_ops + failures == 10
+        assert general.stats.free_ops == general.stats.alloc_ops
+        assert allocator.check_all_freed()
+        assert result.leaked_blocks == 0
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "event-loop"])
+    def test_profile_section_is_oom_failures_only(self, fast):
+        allocator, mapping, _ = build_profiling_setup()
+        profiler = Profiler(mapping, options=ProfilerOptions(fast_replay=fast))
+        result = profiler.run(allocator, self.make_trace(10))
+        assert result.per_pool["__profile__"] == {"oom_failures": 0}
+        assert set(result.per_pool) == {"hot", "general", "__profile__"}
+
+    @pytest.mark.parametrize("name", ["fail_on_oom", "track_footprint_timeline"])
+    def test_retired_options_are_refused(self, name):
+        """Options that no longer exist fail loudly instead of being ignored."""
+        with pytest.raises(TypeError, match=name):
+            ProfilerOptions(**{name: True})
+
     def test_scratchpad_mapping_lowers_energy(self):
         trace = self.make_trace()
         hot_allocator, hot_mapping, _ = build_profiling_setup()
