@@ -12,8 +12,8 @@ repository actually shipped before it — code that only exists in git
 history.  This module keeps a faithful, verbatim copy of the seed
 implementations (behaviour-identical, performance-faithful) so the
 benchmark can execute both generations side by side and assert they still
-produce byte-identical metrics.  Nothing outside ``benchmarks/`` imports
-this module.
+produce byte-identical metrics.  Only the benchmarks and the replay
+identity tests import this module.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.allocator.freelist import FreeList, LIFOFreeList
 from repro.allocator.pool import FixedSizePool, GeneralPool
 from repro.allocator.pool import gross_block_size
 from repro.profiling.metrics import MetricSet, ProfileResult
-from repro.profiling.profiler import Profiler
+from repro.profiling.profiler import DEFAULT_PAYLOAD_ACCESS_FACTOR, Profiler
 
 __all__ = ["SeedProfiler", "seedify_allocator"]
 
@@ -179,7 +179,7 @@ class SeedProfiler(Profiler):
                 if owner is not None:
                     payload_accesses_by_pool[owner.name] = (
                         payload_accesses_by_pool.get(owner.name, 0.0)
-                        + event.size * self.options.payload_access_factor
+                        + event.size * DEFAULT_PAYLOAD_ACCESS_FACTOR
                     )
             else:
                 address = address_of.pop(event.request_id, None)

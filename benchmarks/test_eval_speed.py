@@ -8,8 +8,8 @@ across the three generations that exist in this repository:
 * **seed** — the original hot path (event-object loop, per-event
   ``accepts()`` dispatch scan, helper-method counters, O(n) LIFO free
   list), kept as an executable snapshot in :mod:`benchmarks._seed_replay`;
-* **legacy** — the current event-object loop
-  (``ProfilerOptions(fast_replay=False)``), which already benefits from the
+* **legacy** — the current event-object loop (reached through
+  :func:`benchmarks._oracle.event_loop`), which already benefits from the
   allocator-level rewrites (routing table, O(1) LIFO, inlined counters);
 * **fast** — the compiled columnar replay (the default);
 * **batched** — the batch replay engine
@@ -53,9 +53,10 @@ from repro.core.factory import AllocatorFactory
 from repro.core.space import compact_parameter_space, smoke_parameter_space
 from repro.memhier.hierarchy import embedded_two_level
 from repro.profiling.batch import BatchReplayEngine
-from repro.profiling.profiler import Profiler, ProfilerOptions
+from repro.profiling.profiler import Profiler
 from repro.workloads.easyport import EasyportWorkload
 
+from ._oracle import event_loop, replay_event_loop
 from ._seed_replay import SeedProfiler, seedify_allocator
 from .common import SEED, print_table, write_bench_json
 
@@ -160,10 +161,7 @@ def test_replay_loop_speedup(benchmark, request):
         factory, configuration, trace, SeedProfiler, prepare=seedify_allocator
     )
     legacy_seconds, legacy_result = _time_replay(
-        factory,
-        configuration,
-        trace,
-        lambda mapping: Profiler(mapping, options=ProfilerOptions(fast_replay=False)),
+        factory, configuration, trace, Profiler, prepare=event_loop
     )
 
     def fast_setup():
@@ -303,8 +301,9 @@ def _check_against_oracles(trace, factory, configurations, batched_results):
     for index in range(0, len(configurations), max(1, len(configurations) // 8)):
         configuration = configurations[index]
         built = factory.build(configuration)
-        profiler = Profiler(built.mapping, options=ProfilerOptions(fast_replay=False))
-        legacy = profiler.run(built.allocator, trace, configuration.configuration_id)
+        legacy, _ = replay_event_loop(
+            Profiler(built.mapping), built.allocator, trace, configuration.configuration_id
+        )
         identical = identical and as_bytes(batched_results[index]) == as_bytes(legacy)
     return single_seconds, identical
 

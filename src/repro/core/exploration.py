@@ -58,7 +58,7 @@ from ..memhier.hierarchy import MemoryHierarchy, embedded_two_level
 from ..profiling.batch import BatchReplayEngine
 from ..profiling.compiled import CompiledTrace
 from ..profiling.metrics import ProfileResult, metric_keys
-from ..profiling.profiler import Profiler, ProfilerOptions
+from ..profiling.profiler import DEFAULT_PAYLOAD_ACCESS_FACTOR, Profiler
 from ..profiling.tracer import AllocationTrace
 from .configuration import AllocatorConfiguration, configuration_from_point
 from .factory import AllocatorFactory
@@ -128,7 +128,6 @@ class ExplorationSettings:
     metrics: list[str] = field(default_factory=metric_keys)
     sample: int | None = None
     sample_seed: int = 0
-    payload_access_factor: float = 2.0
     progress_every: int = 0
     shard: ShardSpec | None = None
 
@@ -459,7 +458,7 @@ class ExplorationEngine:
     # callback may be a closure (unpicklable) and is meaningless off-process,
     # and shipping the parent's backend, cache or store handle along would be
     # wasteful (or impossible — open file handles don't pickle) — workers
-    # only ever call ``run_point``.
+    # only ever call ``run_points``.
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["progress_callback"] = None
@@ -486,9 +485,10 @@ class ExplorationEngine:
 
         Covers the trace events (:meth:`AllocationTrace.fingerprint`), the
         memory hierarchy modules, the energy-model constants, the hot block
-        sizes and the profiler's payload-access factor — but *not* the
-        parameter space, backend or sampling settings, which choose *which*
-        points are evaluated, never what one point measures.  Together with
+        sizes and the profiler's payload-access factor (a constant, still
+        written so that no fingerprint moves) — but *not* the parameter
+        space, backend or sampling settings, which choose *which* points
+        are evaluated, never what one point measures.  Together with
         the canonicalised point and :data:`~repro.core.store.METRIC_VERSION`
         this keys the persistent result store and artefact provenance.
         """
@@ -502,7 +502,7 @@ class ExplorationEngine:
                     "static_nj_per_byte": self.energy_model.static_nj_per_byte,
                 },
                 "hot_sizes": list(self.hot_sizes),
-                "payload_access_factor": self.settings.payload_access_factor,
+                "payload_access_factor": DEFAULT_PAYLOAD_ACCESS_FACTOR,
             }
             payload = json.dumps(context, sort_keys=True, separators=(",", ":"))
             self._fingerprint = hashlib.sha256(payload.encode()).hexdigest()
@@ -546,19 +546,15 @@ class ExplorationEngine:
     def run_point(self, point: dict, label: str = "") -> ExplorationRecord:
         """Profile a single parameter point and return its record.
 
-        This is the pure evaluation kernel: no cache, no backend.  It is what
-        worker processes execute; in-process callers that want memoisation
-        and parallel dispatch go through :meth:`evaluate_points`.
+        The single-replay path: no cache, no backend, no batch kernel.  Worker
+        processes call :meth:`run_points` instead; tests and benchmarks
+        compare that batch path against this one, and in-process callers
+        that want memoisation and parallel dispatch go through
+        :meth:`evaluate_points`.
         """
         configuration = self.configuration_for(point, label=label)
         built = self.factory.build(configuration)
-        profiler = Profiler(
-            built.mapping,
-            energy_model=self.energy_model,
-            options=ProfilerOptions(
-                payload_access_factor=self.settings.payload_access_factor
-            ),
-        )
+        profiler = Profiler(built.mapping, energy_model=self.energy_model)
         profile = profiler.run(
             built.allocator, self.trace, configuration.configuration_id
         )
@@ -577,25 +573,14 @@ class ExplorationEngine:
     def _batch_engine(self) -> BatchReplayEngine:
         """The engine's shared batch replay kernel (rebuilt when stale).
 
-        Staleness is checked against the compiled trace *object* — the
-        trace invalidates its compiled form on mutation, so a new compiled
-        object means new events — and against the profiler knobs baked into
-        the kernel's cached simulations.
+        Staleness is checked against the compiled trace *object*: the trace
+        invalidates its compiled form on mutation, so a new compiled object
+        means new events.
         """
         batch = self._batch
-        if (
-            batch is None
-            or batch.compiled is not self.trace.compiled()
-            or batch.options.payload_access_factor
-            != self.settings.payload_access_factor
-        ):
+        if batch is None or batch.compiled is not self.trace.compiled():
             batch = BatchReplayEngine(
-                self.trace,
-                self.factory,
-                energy_model=self.energy_model,
-                options=ProfilerOptions(
-                    payload_access_factor=self.settings.payload_access_factor
-                ),
+                self.trace, self.factory, energy_model=self.energy_model
             )
             self._batch = batch
         return batch

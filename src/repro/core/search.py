@@ -28,9 +28,10 @@ The generation loop every generational strategy shares lives once, in
 :meth:`~SearchStrategy._step`, which trims the generation to the budget,
 evaluates it and counts a stall when it adds no new evaluation;
 :meth:`~SearchStrategy._seed` does the same for uniform random starting
-points, :meth:`~SearchStrategy._members` lists everything evaluated so far
-and :attr:`~SearchStrategy._searching` says whether to go on (budget left,
-not stalled).
+points, :meth:`~SearchStrategy._members` lists everything evaluated so far,
+:meth:`~SearchStrategy._merge_offspring` adds a generation's new points to
+a population before selection, and :attr:`~SearchStrategy._searching` says
+whether to go on (budget left, not stalled).
 
 The modern multi-objective portfolio (NSGA-II and the TPE sampler) lives in
 :mod:`repro.core.strategies` and builds on the same :class:`SearchStrategy`
@@ -160,6 +161,25 @@ class SearchStrategy:
         """``(parameters, record)`` of every point evaluated so far, in
         evaluation order."""
         return [(record.parameters, record) for record in self._evaluated.values()]
+
+    def _merge_offspring(
+        self,
+        population: list[tuple[dict, ExplorationRecord]],
+        offspring: list[tuple[dict, ExplorationRecord]],
+    ) -> list[tuple[dict, ExplorationRecord]]:
+        """``population`` followed by each offspring point not already in it.
+
+        Points are compared by space index: the engine answers a memoised
+        repeat with a distinct copy of one record, so without this a
+        selection could fill the population with copies of one point."""
+        combined = list(population)
+        seen = {self.engine.space.index_of(point) for point, _ in population}
+        for point, record in offspring:
+            index = self.engine.space.index_of(point)
+            if index not in seen:
+                seen.add(index)
+                combined.append((point, record))
+        return combined
 
     def _step(
         self, points: list[dict], database: ResultDatabase
@@ -305,8 +325,9 @@ class EvolutionarySearch(SearchStrategy):
                 if self.rng.random() < self.mutation_rate:
                     child_point = self._mutate(child_point)
                 child_points.append(child_point)
-            offspring = self._step(child_points, database)
-            combined = population + offspring
+            combined = self._merge_offspring(
+                population, self._step(child_points, database)
+            )
             selected_ids = {id(record) for record in self._select([r for _, r in combined])}
             population = [
                 (point, record) for point, record in combined if id(record) in selected_ids

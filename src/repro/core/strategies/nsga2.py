@@ -136,12 +136,6 @@ class NSGA2Search(EvolutionarySearch):
             offspring = self._step(child_points, database)
             if not offspring:
                 continue
-            combined = list(population)
-            seen = {self.engine.space.index_of(point) for point, _ in population}
-            for point, record in offspring:
-                index = self.engine.space.index_of(point)
-                if index not in seen:
-                    seen.add(index)
-                    combined.append((point, record))
+            combined = self._merge_offspring(population, offspring)
             survivors = self._order(combined)[: self.population_size]
             population = [(point, record) for point, record, _, _ in survivors]

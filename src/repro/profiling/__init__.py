@@ -33,7 +33,6 @@ from .parser import (
 from .profiler import (
     DEFAULT_PAYLOAD_ACCESS_FACTOR,
     Profiler,
-    ProfilerOptions,
     profile_trace,
 )
 from .tracer import AllocationTrace, TraceError, TraceSummary
@@ -52,7 +51,6 @@ __all__ = [
     "ParsedLog",
     "ProfileResult",
     "Profiler",
-    "ProfilerOptions",
     "ProfilingLogParser",
     "ProfilingLogWriter",
     "TraceError",

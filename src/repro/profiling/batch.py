@@ -60,8 +60,7 @@ simulation.
 Only what the stream partition cannot express takes a single replay per
 configuration (:meth:`BatchReplayEngine._run_single`): non-standard pool
 stacks (anything but strict fixed/slab pools in front of an unbounded
-general pool), traces with live request-id rebinding, and
-``fast_replay=False``.
+general pool) and traces with live request-id rebinding.
 
 The general-pool kernel replicates :class:`~repro.allocator.pool
 .GeneralPool` counter-for-counter on flat integers: fit-scan visit counts,
@@ -95,7 +94,7 @@ from ..allocator.stats import PoolStats
 from ..allocator.errors import OutOfMemoryError
 from ..memhier.energy import EnergyModel
 from .metrics import ProfileResult
-from .profiler import Profiler, ProfilerOptions
+from .profiler import DEFAULT_PAYLOAD_ACCESS_FACTOR, Profiler
 from .tracer import AllocationTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> profiling)
@@ -236,7 +235,6 @@ def _simulate_general(
     capacity: int | None,
     info: _StreamInfo,
     slot_sizes,
-    factor: float,
 ) -> _GroupResult:
     """Replay one general-pool stream on flat integer state.
 
@@ -783,7 +781,7 @@ def _simulate_general(
             if code >= 0 and code not in dead:
                 size = slot_sizes[code]
                 if size > 0:
-                    payload += size * factor
+                    payload += size * DEFAULT_PAYLOAD_ACCESS_FACTOR
     else:
         payload = info.payload
 
@@ -876,9 +874,8 @@ class BatchReplayEngine:
         place pools (:meth:`AllocatorFactory.build_mapping` yields the
         per-pool capacities the kernels enforce) and to build real
         allocators for the configurations the batch kernel cannot express.
-    energy_model / options:
-        As for :class:`Profiler`; ``fast_replay=False`` routes every
-        configuration through the single-replay path.
+    energy_model:
+        As for :class:`Profiler`.
 
     The engine is long-lived on purpose: all stream partitions and group
     simulations are cached across :meth:`run_configuration` calls, so a
@@ -891,13 +888,11 @@ class BatchReplayEngine:
         trace: AllocationTrace,
         factory: "AllocatorFactory",
         energy_model: EnergyModel | None = None,
-        options: ProfilerOptions | None = None,
     ) -> None:
         self.trace = trace
         self.compiled = trace.compiled()
         self.factory = factory
         self.energy_model = energy_model or EnergyModel(factory.hierarchy)
-        self.options = options or ProfilerOptions()
         # size -> per-size event stream (slot for ALLOC, ~slot for FREE).
         self._size_streams_cache: dict[int, list[int]] | None = None
         # (dedicated-size set, spill set) -> the general pool's stream + totals.
@@ -963,7 +958,7 @@ class BatchReplayEngine:
             sizes = compiled.sizes
             slots = compiled.slots
             slot_sizes = compiled.slot_sizes
-            factor = self.options.payload_access_factor
+            factor = DEFAULT_PAYLOAD_ACCESS_FACTOR
             payload = 0.0
             pos_allocs = 0
             size0_allocs = 0
@@ -1022,7 +1017,7 @@ class BatchReplayEngine:
             pool = SlabPool(
                 "batch", block_size, slab_bytes=slab_bytes, address_space=space, strict=True
             )
-        factor = self.options.payload_access_factor
+        factor = DEFAULT_PAYLOAD_ACCESS_FACTOR
         payload = 0.0
         dispatch = 0
         spilled: list[int] = []
@@ -1091,7 +1086,6 @@ class BatchReplayEngine:
             capacity,
             self._general_stream(dedicated_sizes, spilled),
             self.compiled.slot_sizes,
-            self.options.payload_access_factor,
         )
 
     # -- per-configuration assembly ----------------------------------------
@@ -1102,11 +1096,10 @@ class BatchReplayEngine:
         Returns ``(mapping, dedicated, general)``: ``dedicated`` lists
         ``(pool name, group key)`` in pool order, ``general`` is ``(pool
         name, spill-free group key, capacity)``.  Returns ``None`` when the
-        configuration or the profiling options fall outside what the stream
-        partition can express, sending the caller down the single-replay
-        path.
+        configuration or the trace falls outside what the stream partition
+        can express, sending the caller down the single-replay path.
         """
-        if not self.options.fast_replay or self.compiled.has_live_rebinding:
+        if self.compiled.has_live_rebinding:
             return None
         pools = configuration.pools
         general = pools[-1]
@@ -1153,7 +1146,7 @@ class BatchReplayEngine:
         """Single replay for a configuration :meth:`_plan` cannot express."""
         self.fallback_configurations += 1
         built = self.factory.build(configuration)
-        profiler = Profiler(built.mapping, self.energy_model, self.options)
+        profiler = Profiler(built.mapping, self.energy_model)
         return profiler.run(built.allocator, self.trace, configuration.configuration_id)
 
     def run_configuration(self, configuration: "AllocatorConfiguration") -> ProfileResult:
@@ -1187,7 +1180,7 @@ class BatchReplayEngine:
         allocator = _ShimAllocator(
             shims, configuration.configuration_id, dispatch, live_blocks
         )
-        profiler = Profiler(mapping, self.energy_model, self.options)
+        profiler = Profiler(mapping, self.energy_model)
         result = profiler._collect(
             allocator,
             self.trace.name,

@@ -7,8 +7,9 @@ composed allocator mapped onto a memory hierarchy, and produces a
 DATE'06 flow.
 
 Besides the allocator's own metadata accesses, the profiler charges the
-*application's* accesses to the allocated payloads (``payload_access_factor``
-accesses per allocated byte, charged to the level the owning pool lives on):
+*application's* accesses to the allocated payloads
+(:data:`DEFAULT_PAYLOAD_ACCESS_FACTOR` accesses per allocated byte, charged to
+the level the owning pool lives on):
 data placed in the scratchpad is not only cheaper to manage but also cheaper
 to use, which is what makes the pool-mapping parameter matter for energy,
 exactly as in the paper's methodology.
@@ -24,13 +25,14 @@ One replay kernel and one oracle produce byte-identical results:
   updates are batched into local integers and flushed once per segment.
   It serves one-shot replay (:meth:`Profiler.run` replays the whole trace
   as a single segment), streaming and windowed replay alike;
-* the **event loop** (:meth:`Profiler._replay_events`, selected with
-  ``ProfilerOptions(fast_replay=False)``) walks the event objects and calls
-  ``malloc``/``free`` per event.  It is the only oracle: the executable
-  specification the fast kernel is tested against (see
-  ``tests/test_fast_replay.py`` and ``tests/test_stream.py``).  Outside
-  that mode it serves only what the kernel cannot: allocators of a
-  subclassed type and traces that re-bind a live request id.
+* the **event loop** (:meth:`Profiler._replay_events`) walks the event
+  objects and calls ``malloc``/``free`` per event.  It is the only oracle:
+  the executable specification the fast kernel is tested against (see
+  ``tests/test_replay_identity.py`` and ``tests/test_stream.py``).  It serves
+  exactly what the kernel cannot express: an allocator that is not exactly
+  a :class:`~repro.allocator.composed.ComposedAllocator` (the identity
+  suites reach the oracle through a trivial subclass), and a trace that
+  re-binds a live request id.
 
 Every path records the same ``per_pool["__profile__"]`` section,
 ``{"oom_failures": N}``: allocations that found no pool with room are
@@ -40,7 +42,6 @@ counted and skipped, and their frees are skipped with them.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from ..allocator.blocks import Block, BlockStatus
 from ..allocator.composed import ComposedAllocator
@@ -60,17 +61,6 @@ from .tracer import AllocationTrace
 DEFAULT_PAYLOAD_ACCESS_FACTOR = 2.0
 
 
-@dataclass
-class ProfilerOptions:
-    """Tunables of the profiling run."""
-
-    payload_access_factor: float = DEFAULT_PAYLOAD_ACCESS_FACTOR
-    #: Replay over the compiled (columnar) trace form.  The fast path is
-    #: byte-identical to the legacy event loop on every metric; disable it
-    #: only to measure or to cross-check (the identity tests do).
-    fast_replay: bool = True
-
-
 class Profiler:
     """Replays traces through configured allocators and collects metrics."""
 
@@ -78,11 +68,9 @@ class Profiler:
         self,
         mapping: PoolMapping,
         energy_model: EnergyModel | None = None,
-        options: ProfilerOptions | None = None,
     ) -> None:
         self.mapping = mapping
         self.energy_model = energy_model or EnergyModel(mapping.hierarchy)
-        self.options = options or ProfilerOptions()
 
     def run(
         self,
@@ -93,9 +81,10 @@ class Profiler:
         """Profile ``allocator`` over ``trace`` and return the metrics.
 
         The trace replays as one segment of a :class:`SegmentReplaySession`,
-        or through the event loop in legacy mode and for a malformed trace
-        that re-binds a live request id (which a fast streaming session
-        refuses; see :attr:`CompiledTrace.has_live_rebinding`).
+        or through the event loop for an allocator the kernel does not take
+        and for a malformed trace that re-binds a live request id (which a
+        streaming session on the kernel refuses; see
+        :attr:`CompiledTrace.has_live_rebinding`).
         """
         session = SegmentReplaySession(self, allocator, name=trace.name)
         compiled = trace.compiled() if session._fast else None
@@ -122,7 +111,7 @@ class Profiler:
         passed in, so a session can carry them across segments; returns the
         number of failed allocations.
         """
-        factor = self.options.payload_access_factor
+        factor = DEFAULT_PAYLOAD_ACCESS_FACTOR
         oom_failures = 0
         for event in events:
             if event.is_alloc:
@@ -234,11 +223,11 @@ class SegmentReplaySession:
     :class:`ProfileResult` at the segment boundary — which is what windowed
     analysis differentiates into per-window metrics.
 
-    With ``ProfilerOptions(fast_replay=False)`` (or a subclassed allocator)
-    each segment's reconstructed events go through the event loop,
+    An allocator that is not exactly a :class:`ComposedAllocator` sends each
+    segment's reconstructed events through the event loop,
     :meth:`Profiler._replay_events`, with the live address table carried
     instead; streams that re-bind a live request id (malformed; rejected by
-    ``AllocationTrace.validate``) are only supported by that mode.
+    ``AllocationTrace.validate``) are only supported that way.
     """
 
     def __init__(
@@ -250,17 +239,16 @@ class SegmentReplaySession:
         self.profiler = profiler
         self.allocator = allocator
         self.name = name
-        options = profiler.options
         # The kernel manipulates ComposedAllocator internals (owner map,
         # dispatch counter); a subclass could redefine those, so only the
         # exact type takes it.
-        self._fast = bool(options.fast_replay) and type(allocator) is ComposedAllocator
+        self._fast = type(allocator) is ComposedAllocator
         self.oom_failures = 0
         self.events_seen = 0
         #: global slot -> (address, pool position, payload size) of
-        #: allocations alive across a segment boundary (fast mode).
+        #: allocations alive across a segment boundary (the kernel).
         self._survivors: dict[int, tuple[int, int, int]] = {}
-        #: request id -> address of live allocations (legacy mode).
+        #: request id -> address of live allocations (the event loop).
         self._address_of: dict[int, int] = {}
         # Payload-access accumulation per pool position in global
         # first-touch order — the insertion order of the event loop's dict.
@@ -277,9 +265,9 @@ class SegmentReplaySession:
         if self._fast:
             if segment.has_live_rebinding:
                 raise ValueError(
-                    "streaming fast replay requires a well-formed trace "
-                    "(an ALLOC re-binds a live request id); replay with "
-                    "ProfilerOptions(fast_replay=False)"
+                    "segment replay requires a well-formed trace (an ALLOC "
+                    "re-binds a live request id); only the event loop, taken "
+                    "by a ComposedAllocator subclass, replays such a stream"
                 )
             self._replay_segment_fast(segment)
         else:
@@ -303,8 +291,7 @@ class SegmentReplaySession:
         survivor table.
         """
         allocator = self.allocator
-        options = self.profiler.options
-        factor = options.payload_access_factor
+        factor = DEFAULT_PAYLOAD_ACCESS_FACTOR
 
         kinds = segment.kinds
         sizes = segment.sizes
@@ -612,8 +599,7 @@ def profile_trace(
     mapping: PoolMapping,
     energy_model: EnergyModel | None = None,
     configuration_id: str = "",
-    options: ProfilerOptions | None = None,
 ) -> ProfileResult:
     """One-shot convenience wrapper around :class:`Profiler`."""
-    profiler = Profiler(mapping, energy_model, options)
+    profiler = Profiler(mapping, energy_model)
     return profiler.run(allocator, trace, configuration_id)

@@ -22,7 +22,7 @@ from ..memhier.mapping import PoolMapping
 from ..profiling.compiled import CompiledTrace, SegmentedTraceCompiler
 from ..profiling.events import AllocationEvent
 from ..profiling.metrics import ProfileResult
-from ..profiling.profiler import Profiler, ProfilerOptions, SegmentReplaySession
+from ..profiling.profiler import Profiler, SegmentReplaySession
 
 #: Default events per compiled segment.  Large enough that the per-segment
 #: replay setup cost vanishes, small enough that a segment's columns stay
@@ -96,7 +96,6 @@ def stream_profile(
     mapping: PoolMapping,
     allocator: ComposedAllocator,
     energy_model: EnergyModel | None = None,
-    options: ProfilerOptions | None = None,
     segment_events: int = DEFAULT_SEGMENT_EVENTS,
     configuration_id: str = "",
     name: str | None = None,
@@ -109,7 +108,7 @@ def stream_profile(
     returned result is byte-identical to profiling the fully materialised
     trace through the same allocator.
     """
-    profiler = Profiler(mapping, energy_model=energy_model, options=options)
+    profiler = Profiler(mapping, energy_model=energy_model)
     trace_name = name or getattr(source, "name", "stream")
     compiler = SegmentedTraceCompiler(trace_name)
     session = SegmentReplaySession(profiler, allocator, name=trace_name)

@@ -28,7 +28,7 @@ from ..core.results import ExplorationRecord, ResultDatabase
 from ..profiling.compiled import CompiledTrace, SegmentedTraceCompiler
 from ..profiling.events import AllocationEvent
 from ..profiling.metrics import MetricSet, metric_keys
-from ..profiling.profiler import Profiler, ProfilerOptions, SegmentReplaySession
+from ..profiling.profiler import Profiler, SegmentReplaySession
 from .ingest import iter_event_chunks
 
 
@@ -253,17 +253,12 @@ def windowed_exploration(
         sink.attach_windows(analysis)
     database = ResultDatabase(name=f"{trace.name}-windowed")
     database.windows = {}
-    profiler_options = ProfilerOptions(
-        payload_access_factor=engine.settings.payload_access_factor
-    )
     store = engine.store
     for index, point in engine.enumerate_points():
         label = f"{LABEL_PREFIX}{index:05d}"
         configuration = engine.configuration_for(point, label=label)
         built = engine.factory.build(configuration)
-        profiler = Profiler(
-            built.mapping, energy_model=engine.energy_model, options=profiler_options
-        )
+        profiler = Profiler(built.mapping, energy_model=engine.energy_model)
         session = SegmentReplaySession(profiler, built.allocator, name=trace.name)
         snapshots = []
         for segment in segments:

@@ -3,7 +3,7 @@
 The batch kernel (:class:`repro.profiling.batch.BatchReplayEngine`) scores
 many configurations off shared pool-group simulations; its contract is that
 every :class:`~repro.profiling.metrics.ProfileResult` is *exactly* what the
-single fast replay — and through ``tests/test_fast_replay.py``'s own
+single fast replay — and through ``tests/test_replay_identity.py``'s own
 contract, the legacy event loop — would have produced.  This file holds the
 kernel to that across every standard space and workload, through the
 exploration engine and both backends, for dedicated pools that spill to the
@@ -33,10 +33,12 @@ from repro.core.space import STANDARD_SPACES
 from repro.core.store import ResultStore
 from repro.memhier.hierarchy import embedded_two_level
 from repro.profiling.batch import BatchReplayEngine
-from repro.profiling.profiler import Profiler, ProfilerOptions
+from repro.profiling.profiler import Profiler
 from repro.workloads.easyport import EasyportWorkload
 from repro.workloads.synthetic import PhasedWorkload, UniformRandomWorkload
 from repro.workloads.vtc import VTCWorkload
+
+from benchmarks._oracle import replay_event_loop
 
 #: Points sampled per parameter space for the cross-space sweep.
 POINTS_PER_SPACE = 4
@@ -59,9 +61,15 @@ def result_bytes(result):
 
 
 def single_replay(trace, configuration, hierarchy, fast=True):
+    """One configuration's single replay: the fast kernel, or with
+    ``fast=False`` the event-loop oracle."""
     factory = AllocatorFactory(hierarchy)
     built = factory.build(configuration)
-    profiler = Profiler(built.mapping, options=ProfilerOptions(fast_replay=fast))
+    profiler = Profiler(built.mapping)
+    if not fast:
+        return replay_event_loop(
+            profiler, built.allocator, trace, configuration.configuration_id
+        )[0]
     return profiler.run(built.allocator, trace, configuration.configuration_id)
 
 

@@ -137,7 +137,9 @@ class TestExplorationEngine:
         assert labels == [f"{LABEL_PREFIX}{i:05d}" for i in range(len(labels))]
         assert LABEL_PREFIX == "cfg"
 
-    @pytest.mark.parametrize("name", ["batch_replay", "label_prefix"])
+    @pytest.mark.parametrize(
+        "name", ["batch_replay", "label_prefix", "payload_access_factor"]
+    )
     def test_retired_settings_are_refused(self, name):
         """Settings that no longer exist fail loudly instead of being ignored."""
         with pytest.raises(TypeError, match=name):

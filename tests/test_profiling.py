@@ -16,8 +16,15 @@ from repro.profiling.metrics import (
     metric_spec,
     percent_decrease,
 )
-from repro.profiling.profiler import Profiler, ProfilerOptions, profile_trace
+from repro.memhier.access import breakdown_accesses
+from repro.profiling.profiler import (
+    DEFAULT_PAYLOAD_ACCESS_FACTOR,
+    Profiler,
+    profile_trace,
+)
 from repro.profiling.tracer import AllocationTrace, TraceError
+
+from benchmarks._oracle import event_loop
 
 
 class TestEvents:
@@ -193,15 +200,20 @@ class TestProfiler:
     def test_accesses_metric_excludes_payload(self):
         allocator, mapping, _ = build_profiling_setup()
         trace = self.make_trace()
-        heavy = Profiler(mapping, options=ProfilerOptions(payload_access_factor=100.0))
-        light_allocator, light_mapping, _ = build_profiling_setup()
-        light = Profiler(light_mapping, options=ProfilerOptions(payload_access_factor=0.0))
-        heavy_result = heavy.run(allocator, trace)
-        light_result = light.run(light_allocator, trace)
-        # Allocator metadata accesses are identical regardless of how much
-        # the application touches its payloads.
-        assert heavy_result.totals.accesses == light_result.totals.accesses
-        assert heavy_result.totals.energy_nj > light_result.totals.energy_nj
+        result = Profiler(mapping).run(allocator, trace)
+        metadata = breakdown_accesses(allocator, mapping).total
+        payload = DEFAULT_PAYLOAD_ACCESS_FACTOR * sum(
+            event.size for event in trace if event.is_alloc
+        )
+        assert payload > 0
+        # The accesses metric counts the allocator's own metadata traffic;
+        # the per-level breakdown, which energy and cycles are charged
+        # from, carries the application's payload accesses on top.
+        assert result.totals.accesses == metadata
+        level_accesses = sum(
+            level.reads + level.writes for level in result.per_level.values()
+        )
+        assert level_accesses == metadata + payload
 
     def test_oom_failures_recorded_not_raised(self):
         hierarchy = embedded_two_level(main_size=4096)
@@ -225,8 +237,9 @@ class TestProfiler:
         events = [alloc(i, 1024, timestamp=i) for i in range(10)]
         events += [free(i, timestamp=10 + i) for i in range(10)]
         trace = AllocationTrace(events, name="oom")
-        profiler = Profiler(mapping, options=ProfilerOptions(fast_replay=fast))
-        result = profiler.run(allocator, trace)
+        if not fast:
+            allocator = event_loop(allocator)
+        result = Profiler(mapping).run(allocator, trace)
         failures = result.per_pool["__profile__"]["oom_failures"]
         assert 0 < failures < 10
         assert general.stats.alloc_ops + failures == 10
@@ -237,16 +250,39 @@ class TestProfiler:
     @pytest.mark.parametrize("fast", [True, False], ids=["fast", "event-loop"])
     def test_profile_section_is_oom_failures_only(self, fast):
         allocator, mapping, _ = build_profiling_setup()
-        profiler = Profiler(mapping, options=ProfilerOptions(fast_replay=fast))
-        result = profiler.run(allocator, self.make_trace(10))
+        if not fast:
+            allocator = event_loop(allocator)
+        result = Profiler(mapping).run(allocator, self.make_trace(10))
         assert result.per_pool["__profile__"] == {"oom_failures": 0}
         assert set(result.per_pool) == {"hot", "general", "__profile__"}
 
-    @pytest.mark.parametrize("name", ["fail_on_oom", "track_footprint_timeline"])
-    def test_retired_options_are_refused(self, name):
-        """Options that no longer exist fail loudly instead of being ignored."""
-        with pytest.raises(TypeError, match=name):
-            ProfilerOptions(**{name: True})
+    @pytest.mark.parametrize(
+        "entry", ["Profiler", "profile_trace", "stream_profile", "BatchReplayEngine"]
+    )
+    def test_retired_options_are_refused(self, entry):
+        """No replay entry point takes options: passing some fails loudly
+        instead of being ignored."""
+        import repro.profiling as profiling
+        from repro.core.factory import AllocatorFactory
+        from repro.stream import stream_profile
+
+        allocator, mapping, hierarchy = build_profiling_setup()
+        trace = self.make_trace(4)
+        calls = {
+            "Profiler": lambda: Profiler(mapping, options=None),
+            "profile_trace": lambda: profile_trace(
+                allocator, trace, mapping, options=None
+            ),
+            "stream_profile": lambda: stream_profile(
+                iter(trace), mapping, allocator, options=None
+            ),
+            "BatchReplayEngine": lambda: profiling.BatchReplayEngine(
+                trace, AllocatorFactory(hierarchy), options=None
+            ),
+        }
+        with pytest.raises(TypeError, match="options"):
+            calls[entry]()
+        assert not hasattr(profiling, "ProfilerOptions")
 
     def test_scratchpad_mapping_lowers_energy(self):
         trace = self.make_trace()

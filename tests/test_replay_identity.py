@@ -1,10 +1,12 @@
 """Byte-identity of the compiled fast replay path against the legacy path.
 
-The legacy event loop (``ProfilerOptions(fast_replay=False)``) is the
-executable specification; the fast path must reproduce its
-:class:`~repro.profiling.metrics.ProfileResult` *exactly* — every counter
-of every pool, every level breakdown, every metric bit — across every
-standard parameter space and for OOM-skipping traces.  The allocator object the replay leaves
+The legacy event loop is the executable specification.  The suites reach it
+through :func:`benchmarks._oracle.event_loop`, a ``ComposedAllocator``
+subclass the kernel does not take (``TestOracleRule`` holds that rule).  The
+fast path must reproduce its :class:`~repro.profiling.metrics.ProfileResult`
+*exactly* — every counter of every pool, every level breakdown, every metric
+bit — across every standard parameter space and for OOM-skipping traces.
+The allocator object the replay leaves
 behind must match too (owner map, live tables, free lists, freed sets),
 because engines reuse and inspect it.  All four replay paths (fast, event
 loop, batch kernel, seed snapshot) write the same ``__profile__`` section.
@@ -14,16 +16,18 @@ import json
 
 import pytest
 
+from repro.allocator.composed import ComposedAllocator
 from repro.core.configuration import configuration_from_point
 from repro.core.factory import AllocatorFactory
 from repro.core.space import STANDARD_SPACES
 from repro.memhier.hierarchy import embedded_two_level
 from repro.profiling.batch import BatchReplayEngine
-from repro.profiling.profiler import Profiler, ProfilerOptions
+from repro.profiling.profiler import Profiler, SegmentReplaySession
 from repro.workloads.easyport import EasyportWorkload
 from repro.workloads.synthetic import PhasedWorkload, UniformRandomWorkload
 from repro.workloads.vtc import VTCWorkload
 
+from benchmarks._oracle import EventLoopAllocator, event_loop, replay_event_loop
 from benchmarks._seed_replay import SeedProfiler, seedify_allocator
 
 #: Points sampled per parameter space (each is profiled twice per mode).
@@ -88,16 +92,13 @@ def run_both(trace, point, hierarchy=None):
         scratchpad_module=hierarchy.fastest.name,
         main_module=hierarchy.background_module.name,
     )
-    outcomes = []
-    for fast in (True, False):
-        built = factory.build(configuration)
-        profiler = Profiler(
-            built.mapping,
-            options=ProfilerOptions(fast_replay=fast),
-        )
-        result = profiler.run(built.allocator, trace, "under-test")
-        outcomes.append((result, built.allocator))
-    return outcomes
+    built = factory.build(configuration)
+    fast = Profiler(built.mapping).run(built.allocator, trace, "under-test")
+    oracle = factory.build(configuration)
+    legacy = replay_event_loop(
+        Profiler(oracle.mapping), oracle.allocator, trace, "under-test"
+    )
+    return [(fast, built.allocator), legacy]
 
 
 class TestByteIdentityAcrossSpaces:
@@ -161,10 +162,12 @@ class TestProfileSection:
             main_module=hierarchy.background_module.name,
         )
         results = {}
-        for path, fast in (("fast", True), ("event-loop", False)):
-            built = factory.build(configuration)
-            profiler = Profiler(built.mapping, options=ProfilerOptions(fast_replay=fast))
-            results[path] = profiler.run(built.allocator, trace, "under-test")
+        built = factory.build(configuration)
+        results["fast"] = Profiler(built.mapping).run(built.allocator, trace, "under-test")
+        built = factory.build(configuration)
+        results["event-loop"], _ = replay_event_loop(
+            Profiler(built.mapping), built.allocator, trace, "under-test"
+        )
         batch = BatchReplayEngine(trace, factory)
         results["batch"] = batch.run_configuration(configuration)
         built = factory.build(configuration)
@@ -213,11 +216,10 @@ class TestCollectUsesCachedLength:
             main_module=hierarchy.background_module.name,
         )
         built = factory.build(configuration)
-        profiler = Profiler(
-            built.mapping, options=ProfilerOptions(fast_replay=False)
-        )
         CountingTrace.iterations = 0
-        result = profiler.run(built.allocator, counting, "count")
+        result, _ = replay_event_loop(
+            Profiler(built.mapping), built.allocator, counting, "count"
+        )
         # One pass for the replay itself; _collect must not re-iterate.
         assert CountingTrace.iterations == 1
         assert result.operation_count == len(counting)
@@ -295,21 +297,19 @@ class TestLiveRebindingFallback:
     def test_malformed_stream_byte_identical(self):
         from repro.stream import stream_profile
 
-        results = []
-        for fast in (True, False):
-            allocator, mapping, trace = self.malformed_setup()
-            profiler = Profiler(
-                mapping, options=ProfilerOptions(fast_replay=fast)
-            )
-            results.append(profiler.run(allocator, trace, "malformed"))
+        allocator, mapping, trace = self.malformed_setup()
+        results = [Profiler(mapping).run(allocator, trace, "malformed")]
+        allocator, mapping, trace = self.malformed_setup()
+        results.append(
+            replay_event_loop(Profiler(mapping), allocator, trace, "malformed")[0]
+        )
         assert result_bytes(results[0]) == result_bytes(results[1])
-        # A legacy-mode stream replays it identically too.
+        # A stream through the event loop replays it identically too.
         allocator, mapping, trace = self.malformed_setup()
         streamed = stream_profile(
             iter(trace),
             mapping,
-            allocator,
-            options=ProfilerOptions(fast_replay=False),
+            event_loop(allocator),
             segment_events=2,
             configuration_id="malformed",
             name=trace.name,
@@ -325,5 +325,72 @@ class TestLiveRebindingFallback:
         from repro.stream import stream_profile
 
         allocator, mapping, trace = self.malformed_setup()
-        with pytest.raises(ValueError, match="fast_replay=False"):
+        with pytest.raises(ValueError, match="re-binds a live request id") as error:
             stream_profile(iter(trace), mapping, allocator, segment_events=2)
+        assert "option" not in str(error.value)
+
+
+class TestOracleRule:
+    """The event loop runs exactly when the kernel cannot express the replay.
+
+    The rule: the allocator is not exactly a ``ComposedAllocator``, or the
+    trace re-binds a live request id.  The identity suites rely on it to
+    reach the oracle, so this holds the kernel away from such replays and
+    the event loop away from every other one.
+    """
+
+    def spy(self, monkeypatch):
+        calls = {"kernel": 0, "event-loop": 0}
+        kernel = SegmentReplaySession._replay_segment_fast
+        loop = Profiler._replay_events
+
+        def counting_kernel(session, segment):
+            calls["kernel"] += 1
+            return kernel(session, segment)
+
+        def counting_loop(profiler, *args):
+            calls["event-loop"] += 1
+            return loop(profiler, *args)
+
+        monkeypatch.setattr(SegmentReplaySession, "_replay_segment_fast", counting_kernel)
+        monkeypatch.setattr(Profiler, "_replay_events", counting_loop)
+        return calls
+
+    def built(self):
+        trace = EasyportWorkload(packets=40).generate(seed=1)
+        hierarchy = embedded_two_level()
+        configuration = configuration_from_point(
+            STANDARD_SPACES["smoke"]().sample(1, seed=0)[0],
+            hot_sizes=trace.hot_sizes(top=4),
+            scratchpad_module=hierarchy.fastest.name,
+            main_module=hierarchy.background_module.name,
+        )
+        return trace, AllocatorFactory(hierarchy).build(configuration)
+
+    def test_exact_type_takes_the_kernel(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        trace, built = self.built()
+        Profiler(built.mapping).run(built.allocator, trace)
+        assert calls == {"kernel": 1, "event-loop": 0}
+
+    def test_subclass_takes_the_event_loop(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        trace, built = self.built()
+        oracle = event_loop(built.allocator)
+        assert type(oracle) is EventLoopAllocator
+        assert oracle.pools == built.allocator.pools
+        Profiler(built.mapping).run(oracle, trace)
+        assert calls == {"kernel": 0, "event-loop": 1}
+
+    def test_live_rebinding_takes_the_event_loop(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        allocator, mapping, trace = TestLiveRebindingFallback().malformed_setup()
+        assert type(allocator) is ComposedAllocator
+        Profiler(mapping).run(allocator, trace)
+        assert calls == {"kernel": 0, "event-loop": 1}
+
+    def test_event_loop_needs_a_fresh_allocator(self):
+        _trace, built = self.built()
+        built.allocator.malloc(16)
+        with pytest.raises(ValueError, match="freshly built"):
+            event_loop(built.allocator)

@@ -11,9 +11,14 @@ from repro.core.search import (
     RandomSearch,
     SearchBudget,
 )
-from repro.core.space import compact_parameter_space, smoke_parameter_space
+from repro.core.space import (
+    compact_parameter_space,
+    smoke_parameter_space,
+    vtc_parameter_space,
+)
 from repro.profiling.metrics import MetricSet
 from repro.workloads.easyport import EasyportWorkload
+from repro.workloads.vtc import VTCWorkload
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +84,28 @@ class TestEvolutionarySearch:
             for e in evo_front
         )
         assert not fully_dominated
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_spends_its_budget(self, seed):
+        """Memoised repeats must not crowd the population: a run on a space
+        far larger than the budget evaluates exactly the budget."""
+        trace = VTCWorkload(image_width=24, image_height=24).generate(seed=7)
+        engine = ExplorationEngine(vtc_parameter_space(), trace)
+        search = EvolutionarySearch(engine, SearchBudget(evaluations=160, seed=seed))
+        database = search.run()
+        assert search.evaluations_used == len(database) == 160
+
+    def test_offspring_merge_skips_points_already_in_the_population(self, engine):
+        search = EvolutionarySearch(engine, population=4, offspring=4)
+        points = [engine.space.point_at(index) for index in (0, 1, 2)]
+        records = engine.evaluate_points([(point, "") for point in points])
+        population = [(points[0], records[0]), (points[1], records[1])]
+        # A memoised repeat comes back as a distinct copy of the record.
+        repeat = engine.evaluate_points([(points[0], "")])[0]
+        assert repeat is not records[0]
+        offspring = [(points[0], repeat), (points[2], records[2]), (points[2], records[2])]
+        merged = search._merge_offspring(population, offspring)
+        assert merged == population + [(points[2], records[2])]
 
     def test_invalid_population(self, engine):
         with pytest.raises(ValueError):

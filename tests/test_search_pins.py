@@ -27,7 +27,7 @@ STRATEGIES = ("random", "evolutionary", "nsga2", "tpe")
 #: strategy -> sha256 of the label sequence
 PINS = {
     "random": "0220e3afb33f1f4e92b87fb8ff3143f4f32aad50a192967b9a302961883b6af2",
-    "evolutionary": "6116ea9fbd7a6d665c880317f298186e72c0d8a6b3e66f152454cdbe99125890",
+    "evolutionary": "835e5c4f51cd4429fb28b1b4bb9eab702dfacbeff0dba02dab1335f3fbf7dbbb",
     "nsga2": "b2476e96cb88ca4b12cf8a028bd72692f32907ba8305b38964da0079998ad5e8",
     "tpe": "7ff0c10de311cae0d6baf8bd981d9af6f7b9ebc928da97802408ca89b49454ef",
 }

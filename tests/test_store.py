@@ -313,14 +313,30 @@ class TestEngineStoreIntegration:
         assert clone.store is None  # workers never ship the store handle
         assert engine.store is store
 
-    def test_settings_change_changes_fingerprint(self, small_trace):
+    @pytest.mark.parametrize("change", ["hierarchy", "energy_model", "hot_sizes"])
+    def test_evaluation_context_changes_fingerprint(self, small_trace, change):
+        from repro.memhier.energy import EnergyModel
+        from repro.memhier.hierarchy import embedded_two_level
+
         engine = make_engine(small_trace, store=None)
+        context = {
+            "hierarchy": embedded_two_level(scratchpad_size=2048),
+            "energy_model": EnergyModel(engine.hierarchy, cpu_overhead_cycles=1),
+            "hot_sizes": engine.hot_sizes[:1],
+        }
         other = ExplorationEngine(
-            smoke_parameter_space(),
-            small_trace,
-            settings=ExplorationSettings(payload_access_factor=3.0),
+            smoke_parameter_space(), small_trace, **{change: context[change]}
         )
         assert engine.fingerprint != other.fingerprint
+
+    def test_sampling_settings_keep_fingerprint(self, small_trace):
+        engine = make_engine(small_trace, store=None)
+        sampled = ExplorationEngine(
+            smoke_parameter_space(),
+            small_trace,
+            settings=ExplorationSettings(sample=3, sample_seed=5, progress_every=1),
+        )
+        assert engine.fingerprint == sampled.fingerprint
 
     def test_trace_rename_keeps_fingerprint(self, small_trace):
         renamed = UniformRandomWorkload(operations=300).generate(seed=7)

@@ -14,7 +14,6 @@ import random
 
 import pytest
 
-from repro.allocator.composed import ComposedAllocator
 from repro.api import registry
 from repro.core.configuration import configuration_from_point
 from repro.core.exploration import LABEL_PREFIX, ExplorationEngine
@@ -28,7 +27,7 @@ from repro.profiling.compiled import SegmentedTraceCompiler, compile_trace
 from repro.profiling.events import alloc, free
 from repro.profiling.logformat import write_log
 from repro.profiling.metrics import LevelMetrics, MetricSet, ProfileResult
-from repro.profiling.profiler import Profiler, ProfilerOptions, SegmentReplaySession
+from repro.profiling.profiler import Profiler, SegmentReplaySession
 from repro.profiling.tracer import AllocationTrace
 from repro.stream import (
     ProfilingLogSource,
@@ -53,6 +52,8 @@ from repro.workloads import (
     save_trace,
 )
 from repro.workloads.easyport import EasyportWorkload
+
+from benchmarks._oracle import event_loop
 
 
 def result_bytes(result):
@@ -108,17 +109,20 @@ def build(trace, point, hierarchy=None):
     return factory.build(configuration)
 
 
-def oneshot(trace, point, hierarchy=None, **options):
+def oneshot(trace, point, hierarchy=None, oracle=False):
+    """One-shot replay; ``oracle=True`` takes the event loop."""
     built = build(trace, point, hierarchy)
-    profiler = Profiler(built.mapping, options=ProfilerOptions(**options))
-    result = profiler.run(built.allocator, trace, "under-test")
-    return result, built.allocator
+    allocator = event_loop(built.allocator) if oracle else built.allocator
+    result = Profiler(built.mapping).run(allocator, trace, "under-test")
+    return result, allocator
 
 
-def segmented(trace, point, offsets, hierarchy=None, snapshot_every=False, **options):
+def segmented(trace, point, offsets, hierarchy=None, snapshot_every=False, oracle=False):
+    """Segment-by-segment replay; ``oracle=True`` takes the event loop."""
     built = build(trace, point, hierarchy)
-    profiler = Profiler(built.mapping, options=ProfilerOptions(**options))
-    session = SegmentReplaySession(profiler, built.allocator, name=trace.name)
+    allocator = event_loop(built.allocator) if oracle else built.allocator
+    session = SegmentReplaySession(Profiler(built.mapping), allocator, name=trace.name)
+    assert session._fast is not oracle
     compiler = SegmentedTraceCompiler(trace.name)
     events = trace.events
     for start, stop in zip(offsets, offsets[1:]):
@@ -126,7 +130,7 @@ def segmented(trace, point, offsets, hierarchy=None, snapshot_every=False, **opt
         if snapshot_every:
             session.snapshot("under-test")
     assert compiler.fingerprint() == trace.fingerprint()
-    return session.finish("under-test"), built.allocator
+    return session.finish("under-test"), allocator
 
 
 class TestSegmentedCompiler:
@@ -261,9 +265,9 @@ class TestSegmentedReplayIdentity:
     def test_legacy_mode_identical(self):
         trace = UniformRandomWorkload(operations=200).generate(seed=5)
         point = STANDARD_SPACES["compact"]().sample(1, seed=3)[0]
-        reference, _ = oneshot(trace, point, fast_replay=False)
+        reference, _ = oneshot(trace, point, oracle=True)
         streamed, _ = segmented(
-            trace, point, random_cuts(len(trace), random.Random(1)), fast_replay=False
+            trace, point, random_cuts(len(trace), random.Random(1)), oracle=True
         )
         assert result_bytes(streamed) == result_bytes(reference)
 
@@ -279,13 +283,9 @@ class TestSegmentedReplayIdentity:
 class TestSessionModeRules:
     """A subclassed allocator takes the event loop, one-shot and streamed."""
 
-    class Subclassed(ComposedAllocator):
-        pass
-
     def subclassed(self, trace, point):
         built = build(trace, point)
-        allocator = self.Subclassed(built.allocator.pools, name=built.allocator.name)
-        return built.mapping, allocator
+        return built.mapping, event_loop(built.allocator)
 
     def test_subclass_oneshot_and_streamed_byte_identical(self):
         trace = SessionChurnWorkload(ticks=200).generate(seed=3)
