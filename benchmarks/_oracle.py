@@ -1,9 +1,11 @@
 """The event-loop replay oracle, reached by the rule that selects it.
 
-:class:`~repro.profiling.profiler.SegmentReplaySession` runs the columnar
-kernel only for an allocator whose type is exactly
-:class:`~repro.allocator.composed.ComposedAllocator`, and only on a trace
-that re-binds no live request id.  Everything else takes the event loop,
+:class:`~repro.profiling.profiler.SegmentReplaySession` takes the kernel
+path only for an allocator whose type is exactly
+:class:`~repro.allocator.composed.ComposedAllocator` and whose unused pools
+form a standard stack (:func:`~repro.profiling.profiler.kernel_can_replay`),
+and only on a trace that re-binds no live request id.  Everything else
+takes the event loop,
 :meth:`~repro.profiling.profiler.Profiler._replay_events`: the executable
 specification that every replay identity suite compares against.
 :func:`event_loop` puts a built allocator's pools behind a subclass that
@@ -14,7 +16,7 @@ The identity tests and the evaluator benchmark import this module.
 from __future__ import annotations
 
 from repro.allocator.composed import ComposedAllocator
-from repro.profiling.profiler import SegmentReplaySession
+from repro.profiling.profiler import kernel_can_replay
 
 __all__ = ["EventLoopAllocator", "event_loop", "replay_event_loop"]
 
@@ -38,5 +40,5 @@ def replay_event_loop(profiler, allocator, trace, configuration_id=""):
     end state the replay left behind.
     """
     oracle = event_loop(allocator)
-    assert not SegmentReplaySession(profiler, oracle)._fast, "kernel took the oracle"
+    assert not kernel_can_replay(oracle), "the kernel path takes the oracle"
     return profiler.run(oracle, trace, configuration_id), oracle

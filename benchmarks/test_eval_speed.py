@@ -11,7 +11,11 @@ across the three generations that exist in this repository:
 * **legacy** — the current event-object loop (reached through
   :func:`benchmarks._oracle.event_loop`), which already benefits from the
   allocator-level rewrites (routing table, O(1) LIFO, inlined counters);
-* **fast** — the compiled columnar replay (the default);
+* **fast** — the default replay path: a
+  :class:`~repro.profiling.profiler.SegmentReplaySession` splits the
+  compiled columns into one stream per pool and replays fixed pools on
+  :class:`~repro.profiling.profiler.FixedPoolKernel`, the fixed-pool
+  kernel the batch engine runs too;
 * **batched** — the batch replay engine
   (:class:`repro.profiling.batch.BatchReplayEngine`), which amortises one
   trace sweep across every configuration of an exhaustive sweep by sharing

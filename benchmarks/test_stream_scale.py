@@ -40,13 +40,13 @@ from repro.core.factory import AllocatorFactory
 from repro.core.space import STANDARD_SPACES
 from repro.memhier.hierarchy import embedded_two_level
 from repro.profiling.profiler import Profiler
-from repro.profiling.tracer import AllocationTrace
 from repro.stream import (
     DEFAULT_SEGMENT_EVENTS,
     SyntheticSource,
     TraceFileSource,
     stream_profile,
 )
+from repro.workloads.traces import load_trace
 
 from .common import SEED, print_table, write_bench_json
 
@@ -239,8 +239,8 @@ def test_streamed_result_is_byte_identical_to_oneshot(tmp_path):
 
     factory, configuration = built_configuration()
     built = factory.build(configuration)
-    # stream_once names the run after the file stem; match it exactly.
-    trace = AllocationTrace(list(TraceFileSource(path).events()), name=path.stem)
+    # Both readers name the run after the file's ``# trace NAME`` header.
+    trace = load_trace(path)
     assert len(trace) == events
     oneshot = Profiler(built.mapping).run(
         built.allocator, trace, configuration.configuration_id

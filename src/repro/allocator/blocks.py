@@ -17,7 +17,7 @@ backs the pool (see :mod:`repro.memhier.access`), which is how the
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Bytes of in-band header every block carries (size + status word).
 HEADER_BYTES = 8
@@ -219,17 +219,3 @@ def power_of_two_size_classes(min_exp: int = 3, max_exp: int = 20) -> list[SizeC
             SizeClass(2 ** (exp - 1) + 1, 2**exp, label=f"<={2**exp}B")
         )
     return classes
-
-
-@dataclass
-class FreeBlockIndexEntry:
-    """Bookkeeping entry stored per free block in a free list.
-
-    Separate from :class:`Block` so free-list policies can attach ordering
-    metadata (insertion sequence numbers for FIFO/LIFO) without polluting the
-    block model.
-    """
-
-    block: Block
-    sequence: int = 0
-    metadata: dict = field(default_factory=dict)

@@ -54,20 +54,15 @@ class ComposedAllocator:
 
     # -- allocation interface --------------------------------------------
 
-    def routed_pools(self, size: int) -> tuple[Pool, ...]:
-        """Pools accepting ``size`` bytes, in dispatch order (memoised)."""
-        route = self._route_cache.get(size)
-        if route is None:
-            route = tuple(pool for pool in self.pools if pool.accepts(size))
-            self._route_cache[size] = route
-        return route
-
     def malloc(self, size: int) -> int:
         """Allocate ``size`` bytes; returns the simulated block address."""
         # The generated allocator dispatches through a size-indexed table:
         # one metadata read per operation, independent of the pool count.
         self._dispatch_accesses += 1
-        route = self.routed_pools(size)
+        route = self._route_cache.get(size)
+        if route is None:
+            route = tuple(pool for pool in self.pools if pool.accepts(size))
+            self._route_cache[size] = route
         last_oom: OutOfMemoryError | None = None
         for pool in route:
             try:

@@ -44,6 +44,9 @@ from .stats import PoolStats
 #: fresh chunk (see :meth:`GeneralPool._grow_and_carve`).
 MIN_WILDERNESS_REMAINDER = MIN_REMAINDER_BYTES
 
+#: Blocks a :class:`FixedSizePool` carves out of each growth chunk.
+FIXED_CHUNK_BLOCKS = 16
+
 
 class Pool:
     """Common interface and bookkeeping shared by every pool type."""
@@ -155,7 +158,7 @@ class FixedSizePool(Pool):
         block_size: int,
         address_space: PoolAddressSpace | None = None,
         alignment: int = DEFAULT_ALIGNMENT,
-        chunk_blocks: int = 16,
+        chunk_blocks: int = FIXED_CHUNK_BLOCKS,
         strict: bool = False,
     ) -> None:
         super().__init__(name, address_space, alignment)

@@ -39,17 +39,13 @@ import time
 
 from ..api.experiment import Experiment, ResolvedExperiment
 from ..api.spec import ExperimentSpec
+from .coordinator import _print_flushed
 from .protocol import ProtocolError, recv_message, send_message
 
 EXIT_DONE = 0
 EXIT_REJECTED = 2
 EXIT_CONNECTION = 3
 EXIT_FINGERPRINT = 4
-
-
-def _print_flushed(line: str) -> None:
-    """Default log consumer: print and flush (pipes are block-buffered)."""
-    print(line, flush=True)
 
 
 class _LeaseExpired(Exception):

@@ -1,8 +1,9 @@
 """Batch-first trace replay: one trace sweep evaluates N configurations.
 
-PR 5's columnar fast path made a *single* replay cheap; the remaining cost
-of an exhaustive sweep is that the same :class:`CompiledTrace` is still
-swept once per configuration.  This module amortises the sweep itself.
+A single replay (:class:`~repro.profiling.profiler.SegmentReplaySession`)
+splits a trace into one event stream per pool; an exhaustive sweep would
+still split and replay the same :class:`CompiledTrace` once per
+configuration.  This module amortises the sweep itself.
 
 The key observation is that a composed allocator built by
 :func:`repro.core.configuration.configuration_from_point` routes every
@@ -25,23 +26,24 @@ and the same dedicated-size set share the general pool's entire replay.
   state;
 * each *pool group* — ``(kind, block size, capacity)`` for dedicated pools,
   ``(spill set, size set, policies, chunk)`` for general pools — is
-  simulated once and cached, in struct-of-arrays form for the general
-  kernel (flat address/size columns instead of Block objects);
+  simulated once and cached: fixed groups on the
+  :class:`~repro.profiling.profiler.FixedPoolKernel` single replay runs
+  too, slab groups on a real :class:`SlabPool`, general groups on the flat
+  general-pool kernel (address/size columns instead of Block objects);
 * general-pool groups are cached **capacity-independently**: a simulation
   whose backing store never grows past ``C`` bytes is byte-identical under
   any capacity ≥ ``C`` (growth is monotone), so one unbounded run serves
   every placement variant it fits in, and only genuinely overflowing
   (group, capacity) pairs re-run bounded;
 * a configuration's result is then assembled from its groups' cached
-  counters: per-config ``PoolStats`` deltas generalise PR 5's two-counter
-  flush to a (configuration × pool) matrix of precomputed final counters,
-  and :meth:`Profiler._collect` turns them into a
-  :class:`~repro.profiling.metrics.ProfileResult` exactly as the
-  single-replay paths do.
+  counters (a (configuration × pool) matrix of precomputed final
+  counters), and :meth:`Profiler._collect` turns them into a
+  :class:`~repro.profiling.metrics.ProfileResult` exactly as single replay
+  does.
 
-Byte identity with the single fast replay and the legacy event loop is the
-contract (``TestKernelIdentityAcrossSpaces`` in the batch-replay tests
-enforces it across the standard spaces).
+Byte identity with single replay and the event-loop oracle is the contract
+(``TestKernelIdentityAcrossSpaces`` in the batch-replay tests enforces it
+across the standard spaces).
 
 A dedicated pool that runs out of capacity *spills*: the composed allocator
 hands the request on to the general pool.  A strict fixed or slab pool that
@@ -83,7 +85,7 @@ from ..allocator.fit import FIT_POLICIES
 from ..allocator.freelist import FREE_LIST_POLICIES
 from ..allocator.blocks import gross_block_size
 from ..allocator.heap import PoolAddressSpace
-from ..allocator.pool import MIN_WILDERNESS_REMAINDER, FixedSizePool
+from ..allocator.pool import FIXED_CHUNK_BLOCKS, MIN_WILDERNESS_REMAINDER
 from ..allocator.slab import SlabPool
 from ..allocator.splitting import (
     SPLITTING_POLICIES,
@@ -91,10 +93,14 @@ from ..allocator.splitting import (
     ThresholdSplit,
 )
 from ..allocator.stats import PoolStats
-from ..allocator.errors import OutOfMemoryError
 from ..memhier.energy import EnergyModel
 from .metrics import ProfileResult
-from .profiler import DEFAULT_PAYLOAD_ACCESS_FACTOR, Profiler
+from .profiler import (
+    DEFAULT_PAYLOAD_ACCESS_FACTOR,
+    FixedPoolKernel,
+    PoolDriver,
+    Profiler,
+)
 from .tracer import AllocationTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> profiling)
@@ -986,14 +992,14 @@ class BatchReplayEngine:
     def _dedicated_result(self, key: tuple) -> _GroupResult:
         """Replay one dedicated pool group (cached, capacity-shared).
 
-        Dedicated pools are cheap and exactly modelled by the *real*
-        :class:`FixedSizePool`/:class:`SlabPool` objects, so the group sim
-        simply drives one over the per-size stream on a base-0 address
-        space.  Like general groups, the unbounded run is tried first: the
-        break only ever advances, so any placement capacity at least the
-        final break would have replayed byte-identically and shares the
-        cached result.  Only genuinely overflowing capacities re-run
-        bounded.  An :class:`OutOfMemoryError` there is a spill: the pool
+        A fixed group runs on the :class:`FixedPoolKernel` single replay
+        runs its fixed pools on, and a slab group drives a real
+        :class:`SlabPool`, each over the per-size stream on a base-0
+        address space.  Like general groups, the unbounded run is tried
+        first: the break only ever advances, so any placement capacity at
+        least the final break would have replayed byte-identically and
+        shares the cached result.  Only genuinely overflowing capacities
+        re-run bounded.  An allocation refused there is a spill: the pool
         keeps its state, the refused slot code joins the group's
         ``spilled`` set and its free is skipped here, because the general
         pool serves both (and counts their dispatch).
@@ -1012,40 +1018,24 @@ class BatchReplayEngine:
                 return base
         space = PoolAddressSpace(base=0, capacity=capacity, name="batch")
         if kind == "fixed":
-            pool = FixedSizePool("batch", block_size, address_space=space, strict=True)
+            gross = gross_block_size(block_size)
+            space.chunk_size = gross * FIXED_CHUNK_BLOCKS
+            runner = FixedPoolKernel(block_size, gross, space)
         else:
-            pool = SlabPool(
-                "batch", block_size, slab_bytes=slab_bytes, address_space=space, strict=True
+            runner = PoolDriver(
+                SlabPool(
+                    "batch", block_size, slab_bytes=slab_bytes, address_space=space, strict=True
+                )
             )
-        factor = DEFAULT_PAYLOAD_ACCESS_FACTOR
-        payload = 0.0
-        dispatch = 0
-        spilled: list[int] = []
-        address_of: dict[int, int] = {}
-        stream = self._size_streams().get(block_size)
-        if stream:
-            allocate = pool.allocate
-            release = pool.free
-            for code in stream:
-                if code >= 0:
-                    try:
-                        address_of[code] = allocate(block_size)
-                    except OutOfMemoryError:
-                        spilled.append(code)
-                        continue
-                    payload += block_size * factor
-                else:
-                    address = address_of.pop(~code, None)
-                    if address is None:
-                        continue  # a spilled allocation's free
-                    release(address)
-                dispatch += 1
+        stream = self._size_streams().get(block_size, ())
+        spilled = runner.feed(stream, self.compiled.slot_sizes)
+        stats = runner.stats
         result = _GroupResult(
-            stats=pool.stats,
-            payload=payload,
-            dispatch=dispatch,
-            live=len(address_of),
-            touched=pool.stats.alloc_ops > 0,
+            stats=stats,
+            payload=runner.payload * DEFAULT_PAYLOAD_ACCESS_FACTOR,
+            dispatch=stats.alloc_ops + stats.free_ops,
+            live=stats.live_blocks,
+            touched=stats.alloc_ops > 0,
             spilled=frozenset(spilled) if spilled else _NO_SPILLS,
             brk=space.used,
         )

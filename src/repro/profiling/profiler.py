@@ -14,25 +14,25 @@ data placed in the scratchpad is not only cheaper to manage but also cheaper
 to use, which is what makes the pool-mapping parameter matter for energy,
 exactly as in the paper's methodology.
 
-One replay kernel and one oracle produce byte-identical results:
+Two replay paths produce byte-identical results:
 
-* the **fast kernel** (:meth:`SegmentReplaySession._replay_segment_fast`,
-  the default) iterates columnar :class:`~repro.profiling.compiled
-  .CompiledTrace` segments — no event objects, live addresses in a flat
-  slot table, the composed allocator's size→pool routing table instead of
-  per-event ``accepts()`` scans, and an inline kernel for dedicated
-  fixed-size pools whose :class:`~repro.allocator.stats.PoolStats` counter
-  updates are batched into local integers and flushed once per segment.
-  It serves one-shot replay (:meth:`Profiler.run` replays the whole trace
-  as a single segment), streaming and windowed replay alike;
+* the **kernel path** (:class:`SegmentReplaySession`, the default) splits
+  each columnar :class:`~repro.profiling.compiled.CompiledTrace` segment
+  into one event stream per pool, as
+  :class:`~repro.profiling.batch.BatchReplayEngine` splits a trace: fixed
+  pools replay on the flat :class:`FixedPoolKernel` the batch engine runs
+  too, slab and general pools on their own methods.  It serves one-shot
+  replay (:meth:`Profiler.run` replays the whole trace as a single
+  segment), streaming and windowed replay alike;
 * the **event loop** (:meth:`Profiler._replay_events`) walks the event
   objects and calls ``malloc``/``free`` per event.  It is the only oracle:
-  the executable specification the fast kernel is tested against (see
+  the executable specification the kernel path is tested against (see
   ``tests/test_replay_identity.py`` and ``tests/test_stream.py``).  It serves
-  exactly what the kernel cannot express: an allocator that is not exactly
-  a :class:`~repro.allocator.composed.ComposedAllocator` (the identity
-  suites reach the oracle through a trivial subclass), and a trace that
-  re-binds a live request id.
+  exactly what the kernel path cannot express (:func:`kernel_can_replay`):
+  an allocator that is not exactly a
+  :class:`~repro.allocator.composed.ComposedAllocator` of unused pools in a
+  standard stack (the identity suites reach the oracle through a trivial
+  subclass), and a trace that re-binds a live request id.
 
 Every path records the same ``per_pool["__profile__"]`` section,
 ``{"oom_failures": N}``: allocations that found no pool with room are
@@ -47,7 +47,10 @@ from ..allocator.blocks import Block, BlockStatus
 from ..allocator.composed import ComposedAllocator
 from ..allocator.errors import OutOfMemoryError
 from ..allocator.freelist import LIFOFreeList
-from ..allocator.pool import FixedSizePool
+from ..allocator.heap import PoolAddressSpace
+from ..allocator.pool import FixedSizePool, GeneralPool
+from ..allocator.slab import SlabPool
+from ..allocator.stats import PoolStats
 from ..memhier.access import breakdown_accesses, footprint_by_level
 from ..memhier.energy import EnergyModel
 from ..memhier.mapping import PoolMapping
@@ -58,6 +61,9 @@ from .tracer import AllocationTrace
 
 #: Application data accesses charged per allocated payload byte (one write to
 #: initialise plus an average of one read of the data during its lifetime).
+#: Integral, so every running payload total is an exact float (below 2**53)
+#: whatever the summation order: the kernel path counts bytes and multiplies
+#: once, and matches the event loop's per-event sums bit for bit.
 DEFAULT_PAYLOAD_ACCESS_FACTOR = 2.0
 
 
@@ -81,17 +87,17 @@ class Profiler:
         """Profile ``allocator`` over ``trace`` and return the metrics.
 
         The trace replays as one segment of a :class:`SegmentReplaySession`,
-        or through the event loop for an allocator the kernel does not take
-        and for a malformed trace that re-binds a live request id (which a
-        streaming session on the kernel refuses; see
-        :attr:`CompiledTrace.has_live_rebinding`).
+        or through the event loop for an allocator the kernel path does not
+        take (:func:`kernel_can_replay`) and for a malformed trace that
+        re-binds a live request id (which a streaming session on the kernel
+        path refuses; see :attr:`CompiledTrace.has_live_rebinding`).
         """
         session = SegmentReplaySession(self, allocator, name=trace.name)
-        compiled = trace.compiled() if session._fast else None
+        compiled = trace.compiled() if session._runners is not None else None
         if compiled is not None and not compiled.has_live_rebinding:
             session.replay_segment(compiled)
         else:
-            session._fast = False
+            session._runners = None
             session._replay_events(trace)
             session.events_seen = len(trace)
         return session.finish(configuration_id)
@@ -197,37 +203,242 @@ class Profiler:
         return result
 
 
+class FixedPoolKernel:
+    """A strict :class:`~repro.allocator.pool.FixedSizePool` on flat integers.
+
+    The one fixed-pool replay kernel, run by :class:`SegmentReplaySession`
+    and by :class:`~repro.profiling.batch.BatchReplayEngine`.  Every block
+    has the pool's gross size, so the free list is a stack of addresses
+    (newest last, as :class:`~repro.allocator.freelist.LIFOFreeList` stores
+    it) and the live table maps a slot to its address.  A warm allocate
+    always charges one read, two writes and one visit and a free one read
+    and one write, so :meth:`feed` counts them and updates the
+    :class:`~repro.allocator.stats.PoolStats` once; a cold allocate grows
+    through the real :meth:`PoolAddressSpace.grow`.  State carries from one
+    feed to the next, and :meth:`write_back` leaves the real pool, if any,
+    in the state its own methods would have.
+    """
+
+    __slots__ = ("block_size", "gross", "space", "pool", "stats", "stack", "live", "carved")
+
+    def __init__(self, block_size: int, gross: int, space: PoolAddressSpace, pool=None) -> None:
+        self.block_size = block_size
+        self.gross = gross
+        self.space = space
+        self.pool = pool
+        self.stats = pool.stats if pool is not None else PoolStats()
+        self.stack: list[int] = []
+        #: slot -> address of the live allocations, in allocation order.
+        self.live: dict[int, int] = {}
+        #: Whether a growth chunk was carved into more than one block.
+        self.carved = False
+
+    @property
+    def payload(self) -> int:
+        """Payload bytes of every successful allocation so far."""
+        return self.stats.alloc_ops * self.block_size
+
+    def feed(self, codes, slot_sizes=None, slot_base: int = 0) -> list[int]:
+        """Replay ``codes`` (``slot`` for an ALLOC, ``~slot`` for a FREE).
+
+        Returns the slots of the allocations the address space had no room
+        for: each is a failed allocation that leaves the pool as it was, and
+        its FREE is skipped, as the route's next pool serves both.  Every
+        allocation has the block size, so ``slot_sizes`` goes unread.
+        """
+        stats = self.stats
+        gross = self.gross
+        stack = self.stack
+        pop = stack.pop
+        push = stack.append
+        live = self.live
+        release = live.pop
+        live_n = start = len(live)
+        peak = stats.peak_live_payload // self.block_size
+        frees = 0
+        cold = 0
+        refused: list[int] = []
+        for code in codes:
+            if code >= 0:
+                if stack:
+                    live[code] = pop()
+                else:
+                    # Grow and carve: one header write per carved block
+                    # plus the allocated block's, as FixedSizePool does.
+                    try:
+                        grown = self.space.grow(gross)
+                    except OutOfMemoryError:
+                        stats.failed_allocs += 1
+                        refused.append(code)
+                        continue
+                    stats.grow_footprint(grown.size)
+                    count = grown.size // gross
+                    if count > 1:
+                        stack.extend(range(grown.start + gross, grown.end, gross))
+                        self.carved = True
+                    stats.accesses.writes += count + 1
+                    cold += 1
+                    live[code] = grown.start
+                live_n += 1
+                if live_n > peak:
+                    peak = live_n
+            else:
+                address = release(~code, None)
+                if address is not None:
+                    push(address)
+                    live_n -= 1
+                    frees += 1
+        allocs = live_n - start + frees
+        warm = allocs - cold
+        stats.accesses.reads += warm + frees
+        stats.accesses.writes += 2 * warm + frees
+        stats.free_list_visits += warm
+        stats.alloc_ops += allocs
+        stats.free_ops += frees
+        stats.live_blocks = live_n
+        stats.live_payload = live_n * self.block_size
+        stats.live_gross = live_n * gross
+        stats.peak_live_payload = peak * self.block_size
+        return refused
+
+    def write_back(self) -> None:
+        """Rebuild the real pool's free list, live table and freed set.
+
+        A chunk is carved only when the stack is empty, and pops take the
+        newest address, so the never-used addresses are the bottom ``carved
+        blocks - peak live blocks`` of the stack; the rest were freed.
+        """
+        pool = self.pool
+        gross = self.gross
+        name = pool.name
+        stack = self.stack
+        pool.free_list._blocks = [Block(address, gross, pool_name=name) for address in stack]
+        if self.stats.free_ops or self.carved:
+            pool.free_list.last_insertion_visits = 1  # LIFOFreeList.push's visit
+        pool._live = {
+            address: Block(address, gross, BlockStatus.ALLOCATED, self.block_size, name)
+            for address in self.live.values()
+        }
+        unused = self.stats.footprint // gross - self.stats.peak_live_payload // self.block_size
+        pool._freed_addresses = set(stack[unused:])
+
+
+class PoolDriver:
+    """:class:`FixedPoolKernel`'s interface over a pool's own methods (the
+    runner of slab and general pools)."""
+
+    __slots__ = ("pool", "live", "payload")
+
+    def __init__(self, pool) -> None:
+        self.pool = pool
+        self.live: dict[int, int] = {}
+        self.payload = 0
+
+    @property
+    def stats(self) -> PoolStats:
+        return self.pool.stats
+
+    def feed(self, codes, slot_sizes, slot_base: int = 0) -> list[int]:
+        """As :meth:`FixedPoolKernel.feed`; an ALLOC's size is
+        ``slot_sizes[slot - slot_base]``."""
+        allocate = self.pool.allocate
+        release = self.pool.free
+        live = self.live
+        payload = self.payload
+        refused: list[int] = []
+        for code in codes:
+            if code >= 0:
+                size = slot_sizes[code - slot_base]
+                try:
+                    live[code] = allocate(size)
+                except OutOfMemoryError:
+                    refused.append(code)
+                    continue
+                payload += size
+            else:
+                address = live.pop(~code, None)
+                if address is not None:
+                    release(address)
+        self.payload = payload
+        return refused
+
+    def write_back(self) -> None:
+        """Nothing to do: the pool holds its own state."""
+
+
+def _pool_runners(allocator: ComposedAllocator) -> list | None:
+    """One runner per pool when the kernel path takes ``allocator``, else None.
+
+    It takes an exact :class:`ComposedAllocator` (a subclass could redefine
+    the owner map and dispatch counter the path maintains) whose pools are
+    unused and form a *standard stack*: strict fixed or slab pools with
+    distinct block sizes in front of a general pool that accepts every size,
+    as :meth:`~repro.profiling.batch.BatchReplayEngine._plan` accepts.
+    """
+    if type(allocator) is not ComposedAllocator:
+        return None
+    *dedicated, general = allocator.pools
+    if type(general) is not GeneralPool or general.max_block_size is not None:
+        return None
+    if any(pool.stats != PoolStats() for pool in allocator.pools):
+        return None
+    runners: list = []
+    for pool in dedicated:
+        if (
+            type(pool) is FixedSizePool
+            and type(pool.free_list) is LIFOFreeList
+            and not len(pool.free_list)  # Pool.reset keeps the free list
+        ):
+            runners.append(FixedPoolKernel(pool.block_size, pool.gross_size, pool.space, pool))
+        elif type(pool) is SlabPool:
+            runners.append(PoolDriver(pool))
+        else:
+            return None
+    sizes = {pool.block_size for pool in dedicated}
+    if len(sizes) < len(dedicated) or not all(pool.strict for pool in dedicated):
+        return None
+    return runners + [PoolDriver(general)]
+
+
+def kernel_can_replay(allocator: ComposedAllocator) -> bool:
+    """Whether the kernel path takes ``allocator`` (:func:`_pool_runners`);
+    a trace that re-binds a live request id takes the event loop anyway."""
+    return _pool_runners(allocator) is not None
+
+
 class SegmentReplaySession:
     """Replays :class:`CompiledTrace` *segments*, carrying state across them.
 
-    The profiler's one replay kernel.  :meth:`Profiler.run` replays a whole
-    trace as a single segment; the streaming layer (:mod:`repro.stream`)
-    feeds bounded segments of an unbounded stream through one allocator.
-    The final :class:`~repro.profiling.metrics.ProfileResult` is
-    byte-identical to the event loop over the whole trace, for any
-    segmentation (property-tested in ``tests/test_stream.py``).
+    :meth:`Profiler.run` replays a whole trace as a single segment; the
+    streaming layer (:mod:`repro.stream`) feeds bounded segments of an
+    unbounded stream through one allocator.  The final
+    :class:`~repro.profiling.metrics.ProfileResult` is byte-identical to the
+    event loop over the whole trace, for any segmentation (property-tested
+    in ``tests/test_stream.py``).
 
-    How the identity is kept:
-
-    * kernel eligibility is recomputed per segment: a pool warmed by an
-      earlier segment drops to its own ``allocate``/``free`` methods;
-    * allocations surviving a segment are carried in a ``global slot ->
-      (address, pool position, size)`` table; a FREE whose slot predates the
-      segment (``slot < slot_base``) releases through the owning pool
-      exactly as :meth:`ComposedAllocator.free` would (dispatch charge,
-      owner-map pop, ``pool.free``);
-    * payload-access attribution and OOM counts accumulate across segments
-      in event order.
+    On the kernel path (:func:`kernel_can_replay`) a segment replays the way
+    the batch engine replays a trace.  It splits into one stream per pool by
+    the standard stack's size routing.  Each dedicated pool replays its
+    stream, a fixed pool on a :class:`FixedPoolKernel` and a slab pool on
+    its own methods; the allocations a full pool refuses, and their frees,
+    join the general pool's stream in event order.  The general pool
+    replays on its own methods, and an allocation it refuses is an OOM
+    failure.  Allocations alive at a segment boundary are carried in a
+    ``global slot -> (address, pool position)`` table, so a later FREE goes
+    to the pool holding the block.  Pools are independent given their
+    streams, so every pool counter comes out as the event loop's; the owner
+    map is brought up to date at each boundary, and :meth:`finish` writes
+    the kernels' state back into their pools.
 
     Between segments the caller may take a :meth:`snapshot` — a cumulative
     :class:`ProfileResult` at the segment boundary — which is what windowed
     analysis differentiates into per-window metrics.
 
-    An allocator that is not exactly a :class:`ComposedAllocator` sends each
-    segment's reconstructed events through the event loop,
-    :meth:`Profiler._replay_events`, with the live address table carried
-    instead; streams that re-bind a live request id (malformed; rejected by
-    ``AllocationTrace.validate``) are only supported that way.
+    Every other allocator sends each segment's reconstructed events through
+    the event loop, :meth:`Profiler._replay_events`, with the live address
+    table carried instead; streams that re-bind a live request id
+    (malformed; rejected by ``AllocationTrace.validate``) are only supported
+    that way.
     """
 
     def __init__(
@@ -239,39 +450,31 @@ class SegmentReplaySession:
         self.profiler = profiler
         self.allocator = allocator
         self.name = name
-        # The kernel manipulates ComposedAllocator internals (owner map,
-        # dispatch counter); a subclass could redefine those, so only the
-        # exact type takes it.
-        self._fast = type(allocator) is ComposedAllocator
         self.oom_failures = 0
         self.events_seen = 0
-        #: global slot -> (address, pool position, payload size) of
-        #: allocations alive across a segment boundary (the kernel).
-        self._survivors: dict[int, tuple[int, int, int]] = {}
+        #: One runner per pool on the kernel path; None on the event loop.
+        self._runners = _pool_runners(allocator)
+        #: global slot -> (address, pool position) of allocations alive
+        #: across a segment boundary (the kernel path).
+        self._survivors: dict[int, tuple[int, int]] = {}
         #: request id -> address of live allocations (the event loop).
         self._address_of: dict[int, int] = {}
-        # Payload-access accumulation per pool position in global
-        # first-touch order — the insertion order of the event loop's dict.
-        pool_count = len(allocator.pools)
-        self._payload_totals = [0.0] * pool_count
-        self._payload_touched = [False] * pool_count
-        self._payload_order: list[int] = []
         self._payload_by_name: dict[str, float] = {}
 
     # -- segment replay ----------------------------------------------------
 
     def replay_segment(self, segment: CompiledTrace) -> None:
         """Replay one segment, updating the carried state."""
-        if self._fast:
-            if segment.has_live_rebinding:
-                raise ValueError(
-                    "segment replay requires a well-formed trace (an ALLOC "
-                    "re-binds a live request id); only the event loop, taken "
-                    "by a ComposedAllocator subclass, replays such a stream"
-                )
-            self._replay_segment_fast(segment)
-        else:
+        if self._runners is None:
             self._replay_events(segment.events())
+        elif segment.has_live_rebinding:
+            raise ValueError(
+                "segment replay requires a well-formed trace (an ALLOC "
+                "re-binds a live request id); only the event loop, taken "
+                "by a ComposedAllocator subclass, replays such a stream"
+            )
+        else:
+            self._replay_by_pool(segment)
         self.events_seen += len(segment)
 
     def _replay_events(self, events: Iterable[AllocationEvent]) -> None:
@@ -283,288 +486,100 @@ class SegmentReplaySession:
             self._payload_by_name,
         )
 
-    def _replay_segment_fast(self, segment: CompiledTrace) -> None:
-        """Replay one segment through the columnar kernel (module docstring).
-
-        The slot table is local to the segment (``slot - slot_base``); a
-        FREE of an earlier segment's allocation goes through the carried
-        survivor table.
-        """
+    def _replay_by_pool(self, segment: CompiledTrace) -> None:
+        """Replay one segment pool by pool (the class docstring)."""
+        runners = self._runners
         allocator = self.allocator
-        factor = DEFAULT_PAYLOAD_ACCESS_FACTOR
-
-        kinds = segment.kinds
-        sizes = segment.sizes
-        slots = segment.slots
-        slot_sizes = segment.slot_sizes
-        slot_base = segment.slot_base
-
         pools = allocator.pools
-        pool_count = len(pools)
-        position_of = {pool: index for index, pool in enumerate(pools)}
-        owner_of = allocator._owner_of
-        stats_of = [pool.stats for pool in pools]
-        live_of = [pool._live for pool in pools]
-        freed_of = [pool._freed_addresses for pool in pools]
-        gross_of = [getattr(pool, "gross_size", 0) for pool in pools]
-        spaces = [pool.space for pool in pools]
-        payload_totals = self._payload_totals
-        payload_touched = self._payload_touched
-        payload_order = self._payload_order
+        allocs = sum(pool.stats.alloc_ops for pool in pools)
+        frees = sum(pool.stats.free_ops for pool in pools)
+        streams, crossed = self._split(segment)
+        slot_sizes = segment.slot_sizes
+        base = segment.slot_base
+        refused: list[int] = []
+        for runner, codes in zip(runners[:-1], streams):
+            if codes:
+                refused += runner.feed(codes, slot_sizes, base)
+        general = streams[-1]
+        if refused:
+            spilled = set(refused)
+            spilled.update(~slot for slot in refused)
+            general = self._split(segment, spilled)[0][-1]
+        runners[-1].feed(general, slot_sizes, base)
+        # Every ALLOC is one pool allocation or an OOM failure, and every
+        # executed FREE one pool free; each charges one dispatch read.
+        allocs = sum(pool.stats.alloc_ops for pool in pools) - allocs
+        frees = sum(pool.stats.free_ops for pool in pools) - frees
+        allocator._dispatch_accesses += segment.slot_count + frees
+        self.oom_failures += segment.slot_count - allocs
+        # Survivors and owner map at the boundary, in allocation order.
         survivors = self._survivors
+        owner_of = allocator._owner_of
+        for slot in crossed:
+            del owner_of[survivors.pop(slot)[0]]
+        fresh = []
+        for position, runner in enumerate(runners):
+            for slot, address in reversed(runner.live.items()):
+                if slot < base:
+                    break
+                fresh.append((slot, address, position))
+        for slot, address, position in sorted(fresh):
+            survivors[slot] = (address, position)
+            owner_of[address] = pools[position]
 
-        # Inline-kernel state per pool position.  A pool is kernel-eligible
-        # when it is an exact FixedSizePool with the stock LIFO free list
-        # and no blocks yet (what the factory hands out, or a pool no
-        # earlier segment touched): the kernel then tracks its free list as
-        # a plain stack of *addresses* and rebuilds the Block-level pool
-        # state once, at flush time — every fixed-pool block has the pool's
-        # gross size, so the block objects carry no information the flush
-        # cannot reconstruct.  A pool warmed by an earlier segment drops to
-        # its own allocate/free.
-        int_stacks: list[list | None] = [None] * pool_count
-        lists_: list[LIFOFreeList | None] = [None] * pool_count
-        carve_pushed = [False] * pool_count
-        for index, pool in enumerate(pools):
-            if (
-                type(pool) is FixedSizePool
-                and type(pool.free_list) is LIFOFreeList
-                and not pool.free_list._blocks
-                and not pool._live
-            ):
-                int_stacks[index] = []
-                lists_[index] = pool.free_list
+    def _split(self, segment: CompiledTrace, spilled: set[int] | None = None):
+        """One code stream per pool, and the earlier-segment slots freed.
 
-        # Batched PoolStats deltas: a warm kernel allocate always charges
-        # 1 read + 2 writes + 1 visit and a kernel free 1 read + 1 write,
-        # so two counters per pool capture everything and the flush derives
-        # the reads/writes/visits/ops/live deltas once per segment.  Peaked
-        # quantities (live_payload/peak_live_payload, footprint) are NOT
-        # batched: they are order-sensitive, so the kernel updates them on
-        # the stats object in event order like every other path does.
-        warm_allocs = [0] * pool_count
-        warm_frees = [0] * pool_count
+        A code goes to the first pool of its size's route: the dedicated
+        pool for the size, else the general pool.  A non-positive size has
+        no route: its ALLOC fails and its FREE is skipped.  Given the
+        ``spilled`` codes (allocations dedicated pools refused, and their
+        frees), those go to the general pool and other dedicated codes
+        nowhere, so the general stream is what the general pool sees.
+        """
+        streams: list[list[int]] = [[] for _ in self._runners]
+        general = streams[-1]
+        nowhere: list[int] = []
 
-        # size -> (route entries, position of a kernel-backed first pool or
-        # -1).  Entries pair each routed pool with its position so the slow
-        # path can run the kernel for fixed pools at *any* route position
-        # (capacity spills may reach a second dedicated pool).  Plans are
-        # per segment because they bake in kernel eligibility.
-        plans: dict[int, tuple[tuple, int]] = {}
-        routed_pools = allocator.routed_pools
+        def spill(code: int) -> None:
+            if code in spilled:
+                general.append(code)
 
-        # Per-slot live address and owning-pool position.  The owner map of
-        # the allocator is reconciled once at flush time (surviving slots in
-        # allocation order — the exact content and order the per-event dict
-        # maintenance would leave behind).
-        addresses: list[int | None] = [None] * segment.slot_count
-        owners = bytearray(segment.slot_count) if pool_count <= 255 else None
-        if owners is None:  # pragma: no cover - absurd pool count
-            owners = [0] * segment.slot_count
-        oom_failures = 0
-        dispatch = 0
-
-        def allocate_slow(size: int, entries: tuple) -> tuple:
-            """Route ``size`` along the plan: cold kernel pools (grow and
-            carve), non-kernel pools and capacity spills.  Returns
-            ``(address, position)``, ``address`` None on OOM."""
-            for pool, position in entries:
-                stack = int_stacks[position]
-                if stack is None:
-                    try:
-                        return pool.allocate(size), position
-                    except OutOfMemoryError:
-                        continue
-                stats = stats_of[position]
-                if stack:
-                    # Warm kernel allocate reached through a spill.
-                    address = stack.pop()
-                    warm_allocs[position] += 1
-                else:
-                    # Cold kernel allocate: grow the backing store and
-                    # carve it (inlined FixedSizePool cold path — direct
-                    # stats updates, they commute with the batched ones).
-                    gross = gross_of[position]
-                    try:
-                        grown = spaces[position].grow(gross)
-                    except OutOfMemoryError:
-                        stats.failed_allocs += 1
-                        continue
-                    footprint = stats.footprint + grown.size
-                    stats.footprint = footprint
-                    if footprint > stats.peak_footprint:
-                        stats.peak_footprint = footprint
-                    count = grown.size // gross
-                    address = grown.start
-                    if count > 1:
-                        stack.extend(
-                            range(address + gross, address + count * gross, gross)
-                        )
-                        carve_pushed[position] = True
-                    stats.accesses.writes += count + 1
-                    stats.alloc_ops += 1
-                    stats.live_blocks += 1
-                    stats.live_gross += gross
-                live_payload = stats.live_payload + size
-                stats.live_payload = live_payload
-                if live_payload > stats.peak_live_payload:
-                    stats.peak_live_payload = live_payload
-                freed_of[position].discard(address)
-                return address, position
-            return None, -1
-
-        try:
-            for index, kind in enumerate(kinds):
-                if kind:
-                    size = sizes[index]
-                    plan = plans.get(size)
-                    if plan is None:
-                        route = routed_pools(size)
-                        entries = tuple(
-                            (pool, position_of[pool]) for pool in route
-                        )
-                        first = entries[0][1] if entries else -1
-                        if first >= 0 and int_stacks[first] is None:
-                            first = -1
-                        plan = (entries, first)
-                        plans[size] = plan
-                    entries, first = plan
-                    dispatch += 1
-                    if first >= 0:
-                        stack = int_stacks[first]
-                        if stack:
-                            # Inline FixedSizePool allocate, warm path: pop
-                            # the newest free address, charge one read + two
-                            # writes (head follow, head update, header) —
-                            # batched into warm_allocs.
-                            address = stack.pop()
-                            warm_allocs[first] += 1
-                            stats = stats_of[first]
-                            live_payload = stats.live_payload + size
-                            stats.live_payload = live_payload
-                            if live_payload > stats.peak_live_payload:
-                                stats.peak_live_payload = live_payload
-                            freed_of[first].discard(address)
-                            local = slots[index] - slot_base
-                            addresses[local] = address
-                            owners[local] = first
-                            payload_totals[first] += size * factor
-                            if not payload_touched[first]:
-                                payload_touched[first] = True
-                                payload_order.append(first)
-                            continue
-                    address, position = allocate_slow(size, entries)
-                    if address is None:
-                        oom_failures += 1
-                        continue
-                    local = slots[index] - slot_base
-                    addresses[local] = address
-                    owners[local] = position
-                    payload_totals[position] += size * factor
-                    if not payload_touched[position]:
-                        payload_touched[position] = True
-                        payload_order.append(position)
-                else:
-                    slot = slots[index]
-                    if slot >= slot_base:
-                        # Same-segment free: the local slot table.
-                        local = slot - slot_base
-                        address = addresses[local]
-                        if address is None:
-                            # Double free in the trace, or the matching
-                            # allocation failed (OOM): skipped.
-                            continue
-                        addresses[local] = None
-                        dispatch += 1
-                        position = owners[local]
-                        stack = int_stacks[position]
-                        if stack is not None:
-                            # Inline FixedSizePool free: header read +
-                            # free-list link write (batched into
-                            # warm_frees), push the address back.
-                            freed_of[position].add(address)
-                            warm_frees[position] += 1
-                            stats_of[position].live_payload -= slot_sizes[local]
-                            stack.append(address)
-                        else:
-                            pools[position].free(address)
-                    elif slot >= 0:
-                        # Cross-segment free: release through the carried
-                        # survivor table, exactly as ComposedAllocator.free
-                        # would (dispatch charge, owner pop, pool free).
-                        entry = survivors.pop(slot, None)
-                        if entry is None:
-                            continue
-                        address, position, _size = entry
-                        dispatch += 1
-                        owner_of.pop(address, None)
-                        pools[position].free(address)
-                    else:
-                        # Never-allocated id or double free: skipped.
-                        continue
-        finally:
-            allocator._dispatch_accesses += dispatch
-            for position in range(pool_count):
-                allocs = warm_allocs[position]
-                frees = warm_frees[position]
-                if allocs or frees:
-                    stats = stats_of[position]
-                    accesses = stats.accesses
-                    accesses.reads += allocs + frees
-                    accesses.writes += 2 * allocs + frees
-                    stats.free_list_visits += allocs
-                    stats.alloc_ops += allocs
-                    stats.free_ops += frees
-                    stats.live_blocks += allocs - frees
-                    stats.live_gross += (allocs - frees) * gross_of[position]
-                stack = int_stacks[position]
-                if stack is None:
-                    continue
-                # Rebuild the Block-level free list the event loop would
-                # have left behind (same order, same field values).
-                if stack:
-                    gross = gross_of[position]
-                    name = pools[position].name
-                    lists_[position]._blocks += [
-                        Block(address, gross, pool_name=name) for address in stack
-                    ]
-                if frees or carve_pushed[position]:
-                    # The legacy push() records its single-node visit.
-                    lists_[position].last_insertion_visits = 1
-            # Reconcile this segment's survivors into the owner map, the
-            # kernel pools' live tables, and the carried survivor table —
-            # in allocation order, exactly what per-event maintenance
-            # leaves behind.
-            for local, address in enumerate(addresses):
-                if address is not None:
-                    position = owners[local]
-                    pool = pools[position]
-                    owner_of[address] = pool
-                    if int_stacks[position] is not None:
-                        live_of[position][address] = Block(
-                            address,
-                            gross_of[position],
-                            BlockStatus.ALLOCATED,
-                            slot_sizes[local],
-                            pool.name,
-                        )
-                    survivors[slot_base + local] = (
-                        address,
-                        position,
-                        slot_sizes[local],
-                    )
-            self.oom_failures += oom_failures
+        routes = {}
+        for size in set(segment.sizes):
+            for position, pool in enumerate(self.allocator.pools[:-1]):
+                if pool.block_size == size:
+                    routes[size] = streams[position].append if spilled is None else spill
+                    break
+            else:
+                routes[size] = general.append if size > 0 else nowhere.append
+        base = segment.slot_base
+        slot_sizes = segment.slot_sizes
+        survivors = self._survivors
+        crossed: list[int] = []
+        for kind, size, slot in zip(segment.kinds, segment.sizes, segment.slots):
+            if kind:
+                routes[size](slot)
+            elif slot >= base:
+                routes[slot_sizes[slot - base]](~slot)
+            else:
+                # An earlier segment's allocation, or NO_SLOT (never there).
+                entry = survivors.get(slot)
+                if entry is not None:
+                    streams[entry[1]].append(~slot)
+                    crossed.append(slot)
+        return streams, crossed
 
     # -- results -----------------------------------------------------------
 
     def _payload_accesses(self) -> dict[str, float]:
-        if self._fast:
-            pools = self.allocator.pools
-            return {
-                pools[position].name: self._payload_totals[position]
-                for position in self._payload_order
-            }
-        return dict(self._payload_by_name)
+        if self._runners is None:
+            return dict(self._payload_by_name)
+        return {
+            pool.name: runner.payload * DEFAULT_PAYLOAD_ACCESS_FACTOR
+            for pool, runner in zip(self.allocator.pools, self._runners)
+            if runner.payload
+        }
 
     def snapshot(self, configuration_id: str = "") -> ProfileResult:
         """Cumulative :class:`ProfileResult` at the current segment boundary.
@@ -586,8 +601,11 @@ class SegmentReplaySession:
 
         Byte-identical to what the event loop produces for the concatenated
         trace (same totals, per-level metrics, per-pool snapshots and
-        ``__profile__`` section).
+        ``__profile__`` section), and the allocator is left in the event
+        loop's end state.
         """
+        for runner in self._runners or ():
+            runner.write_back()
         result = self.snapshot(configuration_id)
         result.per_pool["__profile__"] = {"oom_failures": self.oom_failures}
         return result

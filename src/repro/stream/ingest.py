@@ -106,16 +106,20 @@ def stream_profile(
     compiles and replays one segment at a time, so only one segment's
     columns (plus the allocator's live state) are ever resident.  The
     returned result is byte-identical to profiling the fully materialised
-    trace through the same allocator.
+    trace through the same allocator, and is named as
+    :func:`~repro.workloads.traces.load_trace` names that trace: ``name``,
+    else the source's name once the stream is consumed.
     """
     profiler = Profiler(mapping, energy_model=energy_model)
-    trace_name = name or getattr(source, "name", "stream")
-    compiler = SegmentedTraceCompiler(trace_name)
-    session = SegmentReplaySession(profiler, allocator, name=trace_name)
+    compiler = SegmentedTraceCompiler(name or getattr(source, "name", "stream"))
+    session = SegmentReplaySession(profiler, allocator)
     for segment in compile_stream(
-        source, name=trace_name, segment_events=segment_events, compiler=compiler
+        source, segment_events=segment_events, compiler=compiler
     ):
         session.replay_segment(segment)
+    # A source may learn its name from the stream itself (a trace file's
+    # ``# trace NAME`` header), so read it once the stream is consumed.
+    session.name = name or getattr(source, "name", "stream")
     result = session.finish(configuration_id)
     return StreamOutcome(
         result=result,

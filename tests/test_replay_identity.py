@@ -13,6 +13,7 @@ loop, batch kernel, seed snapshot) write the same ``__profile__`` section.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -22,7 +23,7 @@ from repro.core.factory import AllocatorFactory
 from repro.core.space import STANDARD_SPACES
 from repro.memhier.hierarchy import embedded_two_level
 from repro.profiling.batch import BatchReplayEngine
-from repro.profiling.profiler import Profiler, SegmentReplaySession
+from repro.profiling.profiler import Profiler, SegmentReplaySession, kernel_can_replay
 from repro.workloads.easyport import EasyportWorkload
 from repro.workloads.synthetic import PhasedWorkload, UniformRandomWorkload
 from repro.workloads.vtc import VTCWorkload
@@ -257,7 +258,7 @@ class TestLiveRebindingFallback:
 
     def malformed_setup(self):
         from repro.allocator.composed import ComposedAllocator
-        from repro.allocator.pool import FixedSizePool
+        from repro.allocator.pool import FixedSizePool, GeneralPool
         from repro.memhier.mapping import PoolMapping
         from repro.profiling.events import alloc, free
         from repro.profiling.tracer import AllocationTrace
@@ -265,16 +266,21 @@ class TestLiveRebindingFallback:
         hierarchy = embedded_two_level()
         mapping = PoolMapping(hierarchy)
         mapping.place_pool("fixed", "main_memory", reserved_bytes=128)
+        mapping.place_pool("general", "main_memory", reserved_bytes=0)
         pool = FixedSizePool(
             "fixed",
             block_size=64,
             address_space=mapping.address_space_for("fixed"),
             chunk_blocks=1,
+            strict=True,
         )
-        allocator = ComposedAllocator([pool])
+        general = GeneralPool("general", address_space=mapping.address_space_for("general"))
+        # A standard stack, so only the trace keeps it off the kernel path.
+        allocator = ComposedAllocator([pool, general])
         # id 1 is re-allocated while live; the second allocation OOMs (the
-        # 128-byte reservation fits one 72-byte gross block only), so the
-        # legacy loop keeps the first binding and the FREE releases it.
+        # 128-byte reservation fits one 72-byte gross block only, and the
+        # general pool has no room at all), so the legacy loop keeps the
+        # first binding and the FREE releases it.
         trace = AllocationTrace(
             [alloc(1, 64, 0), alloc(1, 64, 1), free(1, 2), alloc(2, 64, 3)],
             name="malformed",
@@ -331,17 +337,19 @@ class TestLiveRebindingFallback:
 
 
 class TestOracleRule:
-    """The event loop runs exactly when the kernel cannot express the replay.
+    """The event loop runs exactly when the kernel path cannot express the replay.
 
-    The rule: the allocator is not exactly a ``ComposedAllocator``, or the
-    trace re-binds a live request id.  The identity suites rely on it to
-    reach the oracle, so this holds the kernel away from such replays and
-    the event loop away from every other one.
+    The rule: the allocator is not exactly a ``ComposedAllocator``, its pools
+    were used already or do not form a standard stack (strict fixed or slab
+    pools with distinct block sizes in front of a general pool that accepts
+    every size), or the trace re-binds a live request id.  The identity
+    suites rely on it to reach the oracle, so this holds the kernel path
+    away from such replays and the event loop away from every other one.
     """
 
     def spy(self, monkeypatch):
         calls = {"kernel": 0, "event-loop": 0}
-        kernel = SegmentReplaySession._replay_segment_fast
+        kernel = SegmentReplaySession._replay_by_pool
         loop = Profiler._replay_events
 
         def counting_kernel(session, segment):
@@ -352,24 +360,30 @@ class TestOracleRule:
             calls["event-loop"] += 1
             return loop(profiler, *args)
 
-        monkeypatch.setattr(SegmentReplaySession, "_replay_segment_fast", counting_kernel)
+        monkeypatch.setattr(SegmentReplaySession, "_replay_by_pool", counting_kernel)
         monkeypatch.setattr(Profiler, "_replay_events", counting_loop)
         return calls
 
-    def built(self):
-        trace = EasyportWorkload(packets=40).generate(seed=1)
-        hierarchy = embedded_two_level()
-        configuration = configuration_from_point(
+    def configuration(self, trace, hierarchy):
+        return configuration_from_point(
             STANDARD_SPACES["smoke"]().sample(1, seed=0)[0],
             hot_sizes=trace.hot_sizes(top=4),
             scratchpad_module=hierarchy.fastest.name,
             main_module=hierarchy.background_module.name,
         )
+
+    def built(self, edit=None):
+        trace = EasyportWorkload(packets=40).generate(seed=1)
+        hierarchy = embedded_two_level()
+        configuration = self.configuration(trace, hierarchy)
+        if edit is not None:
+            configuration.pools = edit(configuration.pools)
         return trace, AllocatorFactory(hierarchy).build(configuration)
 
     def test_exact_type_takes_the_kernel(self, monkeypatch):
         calls = self.spy(monkeypatch)
         trace, built = self.built()
+        assert kernel_can_replay(built.allocator)
         Profiler(built.mapping).run(built.allocator, trace)
         assert calls == {"kernel": 1, "event-loop": 0}
 
@@ -385,9 +399,107 @@ class TestOracleRule:
     def test_live_rebinding_takes_the_event_loop(self, monkeypatch):
         calls = self.spy(monkeypatch)
         allocator, mapping, trace = TestLiveRebindingFallback().malformed_setup()
-        assert type(allocator) is ComposedAllocator
+        assert kernel_can_replay(allocator)
         Profiler(mapping).run(allocator, trace)
         assert calls == {"kernel": 0, "event-loop": 1}
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(
+                lambda pools: pools[:-1] + [replace(pools[-1], max_block_size=4096)],
+                id="bounded-general",
+            ),
+            pytest.param(
+                lambda pools: pools[:-1] + [replace(pools[-1], kind="segregated")],
+                id="segregated",
+            ),
+            pytest.param(
+                lambda pools: [replace(pools[0], kind="region")] + pools[1:],
+                id="region-in-front",
+            ),
+        ],
+    )
+    def test_non_standard_stack_takes_the_event_loop(self, monkeypatch, edit):
+        calls = self.spy(monkeypatch)
+        trace, built = self.built(edit)
+        assert type(built.allocator) is ComposedAllocator
+        assert not kernel_can_replay(built.allocator)
+        result = Profiler(built.mapping).run(built.allocator, trace)
+        assert calls == {"kernel": 0, "event-loop": 1}
+        _trace, oracle = self.built(edit)
+        reference, _ = replay_event_loop(Profiler(oracle.mapping), oracle.allocator, trace)
+        assert result_bytes(result) == result_bytes(reference)
+
+    def test_used_allocator_takes_the_event_loop(self, monkeypatch):
+        """A second run continues from the first run's end state, which the
+        kernel path must have left exactly as the event loop does."""
+        trace, built = self.built()
+        _trace, oracle = self.built()
+        oracle_allocator = event_loop(oracle.allocator)
+        results = []
+        for allocator, mapping in ((built.allocator, built.mapping),
+                                   (oracle_allocator, oracle.mapping)):
+            Profiler(mapping).run(allocator, trace)
+            calls = self.spy(monkeypatch)
+            assert not kernel_can_replay(allocator)
+            results.append(Profiler(mapping).run(allocator, trace))
+            assert calls == {"kernel": 0, "event-loop": 1}
+        assert result_bytes(results[0]) == result_bytes(results[1])
+        assert allocator_state(built.allocator) == allocator_state(oracle_allocator)
+
+    def test_reset_allocator_takes_the_event_loop(self):
+        """``Pool.reset`` leaves a fixed pool's free list in place, so a
+        reset allocator is not an unused one."""
+        from repro.allocator.pool import FixedSizePool, GeneralPool
+
+        allocator = ComposedAllocator(
+            [FixedSizePool("fixed", 32, strict=True), GeneralPool("general")]
+        )
+        assert kernel_can_replay(allocator)
+        allocator.malloc(32)
+        allocator.reset()
+        assert not kernel_can_replay(allocator)
+
+    def test_streamed_fixed_pools_stay_on_the_kernel(self, monkeypatch):
+        """Every segment of a stream replays its fixed pools on the kernel,
+        not only the first: the evaluator benchmark's replay configuration,
+        cut into two segments, never calls ``FixedSizePool.allocate``."""
+        from benchmarks.test_eval_speed import _configuration
+        from repro.allocator.pool import FixedSizePool
+        from repro.stream import stream_profile
+
+        trace = EasyportWorkload(packets=2000).generate(seed=2006)
+        hierarchy = embedded_two_level()
+        configuration = _configuration(trace, hierarchy)
+        factory = AllocatorFactory(hierarchy)
+        reference, _ = replay_event_loop(
+            Profiler(factory.build(configuration).mapping),
+            factory.build(configuration).allocator,
+            trace,
+            "under-test",
+        )
+        calls = {"allocate": 0}
+        allocate = FixedSizePool.allocate
+
+        def counting_allocate(pool, size):
+            calls["allocate"] += 1
+            return allocate(pool, size)
+
+        monkeypatch.setattr(FixedSizePool, "allocate", counting_allocate)
+        built = factory.build(configuration)
+        assert any(type(pool) is FixedSizePool for pool in built.allocator.pools)
+        streamed = stream_profile(
+            iter(trace),
+            built.mapping,
+            built.allocator,
+            segment_events=len(trace) // 2 + 1,
+            configuration_id="under-test",
+            name=trace.name,
+        )
+        assert streamed.segments == 2
+        assert calls == {"allocate": 0}
+        assert result_bytes(streamed.result) == result_bytes(reference)
 
     def test_event_loop_needs_a_fresh_allocator(self):
         _trace, built = self.built()

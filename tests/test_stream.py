@@ -27,7 +27,7 @@ from repro.profiling.compiled import SegmentedTraceCompiler, compile_trace
 from repro.profiling.events import alloc, free
 from repro.profiling.logformat import write_log
 from repro.profiling.metrics import LevelMetrics, MetricSet, ProfileResult
-from repro.profiling.profiler import Profiler, SegmentReplaySession
+from repro.profiling.profiler import Profiler, SegmentReplaySession, kernel_can_replay
 from repro.profiling.tracer import AllocationTrace
 from repro.stream import (
     ProfilingLogSource,
@@ -122,7 +122,7 @@ def segmented(trace, point, offsets, hierarchy=None, snapshot_every=False, oracl
     built = build(trace, point, hierarchy)
     allocator = event_loop(built.allocator) if oracle else built.allocator
     session = SegmentReplaySession(Profiler(built.mapping), allocator, name=trace.name)
-    assert session._fast is not oracle
+    assert kernel_can_replay(allocator) is not oracle
     compiler = SegmentedTraceCompiler(trace.name)
     events = trace.events
     for start, stop in zip(offsets, offsets[1:]):
@@ -294,7 +294,7 @@ class TestSessionModeRules:
             reference, _ = oneshot(trace, point)
             mapping, allocator = self.subclassed(trace, point)
             profiler = Profiler(mapping)
-            assert not SegmentReplaySession(profiler, allocator)._fast
+            assert not kernel_can_replay(allocator)
             oneshot_result = profiler.run(allocator, trace, "under-test")
             assert result_bytes(oneshot_result) == result_bytes(reference)
             for _trial in range(3):
@@ -338,6 +338,26 @@ class TestStreamProfile:
         assert outcome.fingerprint == trace.fingerprint()
         assert outcome.events == len(trace)
         assert outcome.segments == -(-len(trace) // 128)
+
+    def test_unnamed_stream_takes_the_header_name(self, tmp_path):
+        """Without ``name=``, a file's ``# trace NAME`` header names the
+        result, as ``load_trace`` names the trace, not the file stem."""
+        path = tmp_path / "stem.trace"
+        path.write_text("# trace demo\n" + MATRIX_TEXT)
+        trace = load_trace(path)
+        assert trace.name == "demo"
+        point = STANDARD_SPACES["smoke"]().sample(1, seed=1)[0]
+        reference, _ = oneshot(trace, point)
+        built = build(trace, point)
+        outcome = stream_profile(
+            TraceFileSource(path),
+            built.mapping,
+            built.allocator,
+            segment_events=3,
+            configuration_id="under-test",
+        )
+        assert outcome.result.trace_name == "demo"
+        assert result_bytes(outcome.result) == result_bytes(reference)
 
     def test_compile_stream_is_lazy_and_complete(self):
         source = SyntheticSource(operations=500, live_limit=16, seed=6)
