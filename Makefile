@@ -77,12 +77,14 @@ bench-search-full:
 bench-diff:
 	$(RUN) benchmarks/bench_diff.py --old $(OLD) --new $(NEW)
 
-# Streaming verification: the segmented replay and the windowed analysis
-# must be byte-identical to the one-shot batch path (the property tests),
-# and a CLI `dmexplore windows` artefact must carry the same records as
-# the plain `dmexplore explore` artefact for the same experiment (the two
-# may differ only in the database name and the cache counters — windowed
-# replay profiles every point exactly once, so there is no memo section).
+# Streaming verification: the segmented replay must be byte-identical to
+# the one-shot replay, and every window's metrics must equal event-loop
+# replays of the trace's prefixes (the property tests); a CLI `dmexplore
+# windows` artefact must carry the same records as the plain `dmexplore
+# explore` artefact for the same experiment (the two may differ only in
+# the database name and the cache counters — the windowed run scores
+# every point exactly once on the batch engine, so there is no memo
+# section).
 # A gzipped `dmexplore trace` file must read back, through `load_trace` and
 # through a streamed `TraceFileSource`, with the generated trace's fingerprint.
 STREAM_DIR := .stream-demo

@@ -277,27 +277,49 @@ def _compact_sweep(trace, hierarchy):
     ]
 
 
-def _check_against_oracles(trace, factory, configurations, batched_results):
-    """Time the single fast replay of every point; compare both oracles.
+def _paired_rounds(trace, factory, configurations, rounds):
+    """Time the batched and the single fast sweep in interleaved rounds.
 
-    Returns ``(single_seconds, identical)``: ``identical`` holds when every
-    batched result equals the single fast replay and a sample equals the
-    legacy event loop (~2 orders slower than the batched sweep, so it is
-    sampled to keep the benchmark runnable).
+    Each round times a fresh :class:`BatchReplayEngine` over the sweep (the
+    engine's group caches are the thing under test, so each round starts
+    cold; its construction is not timed), then the single fast replay of
+    every point, configuration build included.  A GC sweep runs before
+    each side, and alternating the sides lets machine-load drift hit both
+    equally.  Returns ``(batched_seconds, single_seconds, engine,
+    batched_results, single_results)``: the per-round times of each side,
+    and the last round's engine and results.
     """
+    import gc
+
+    batched_seconds: list[float] = []
+    single_seconds: list[float] = []
+    for _ in range(rounds):
+        engine = BatchReplayEngine(trace, factory)
+        gc.collect()
+        start = time.perf_counter()
+        batched_results = engine.run_configurations(configurations)
+        batched_seconds.append(time.perf_counter() - start)
+        gc.collect()
+        start = time.perf_counter()
+        single_results = []
+        for configuration in configurations:
+            built = factory.build(configuration)
+            profiler = Profiler(built.mapping)
+            single_results.append(
+                profiler.run(built.allocator, trace, configuration.configuration_id)
+            )
+        single_seconds.append(time.perf_counter() - start)
+    return batched_seconds, single_seconds, engine, batched_results, single_results
+
+
+def _identical(trace, factory, configurations, batched_results, single_results):
+    """Whether every batched result equals the single fast replay and a
+    sample equals the legacy event loop (~2 orders slower than the batched
+    sweep, so it is sampled to keep the benchmark runnable)."""
 
     def as_bytes(result):
         return json.dumps(result.as_dict(), sort_keys=True, default=repr)
 
-    start = time.perf_counter()
-    single_results = []
-    for configuration in configurations:
-        built = factory.build(configuration)
-        profiler = Profiler(built.mapping)
-        single_results.append(
-            profiler.run(built.allocator, trace, configuration.configuration_id)
-        )
-    single_seconds = time.perf_counter() - start
     identical = all(
         as_bytes(batched) == as_bytes(single)
         for batched, single in zip(batched_results, single_results)
@@ -309,7 +331,7 @@ def _check_against_oracles(trace, factory, configurations, batched_results):
             Profiler(built.mapping), built.allocator, trace, configuration.configuration_id
         )
         identical = identical and as_bytes(batched_results[index]) == as_bytes(legacy)
-    return single_seconds, identical
+    return identical
 
 
 def test_batched_sweep_speedup(benchmark, request):
@@ -333,30 +355,19 @@ def test_batched_sweep_speedup(benchmark, request):
     configurations = _compact_sweep(trace, hierarchy)
     trace.compiled()  # compile once up front, as an exploration would
 
-    # Batched sweep (best of N fresh engines: the engine's group caches are
-    # the thing under test, so each round starts cold).
-    holder: dict = {}
-
-    def batched_setup():
-        import gc
-
-        holder["engine"] = BatchReplayEngine(trace, factory)
-        gc.collect()
-        return (), {}
-
-    def batched_target():
-        return holder["engine"].run_configurations(configurations)
-
-    batched_results = benchmark.pedantic(
-        batched_target, setup=batched_setup, rounds=3 if dedicated else 2
+    # Both sides best of the same interleaved rounds; the benchmark fixture
+    # times the pairs, so the test also runs under --benchmark-only.
+    batched_rounds, single_rounds, engine, batched_results, single_results = (
+        benchmark.pedantic(
+            _paired_rounds,
+            args=(trace, factory, configurations, 3 if dedicated else 2),
+            rounds=1,
+        )
     )
-    batched_seconds = benchmark.stats.stats.min
-    engine = holder["engine"]
-
-    # Single fast replay over the same sweep (one pass; it has no
-    # cross-point state to warm).
-    single_seconds, identical = _check_against_oracles(
-        trace, factory, configurations, batched_results
+    batched_seconds = min(batched_rounds)
+    single_seconds = min(single_rounds)
+    identical = _identical(
+        trace, factory, configurations, batched_results, single_results
     )
 
     points = len(configurations)
@@ -367,6 +378,9 @@ def test_batched_sweep_speedup(benchmark, request):
         "events": events,
         "batched_s": round(batched_seconds, 3),
         "single_fast_s": round(single_seconds, 3),
+        # Every round of each side, in order: the spread of the best-of.
+        "batched_s_rounds": [round(seconds, 3) for seconds in batched_rounds],
+        "single_fast_s_rounds": [round(seconds, 3) for seconds in single_rounds],
         "batched_point_ms": round(batched_seconds / points * 1e3, 3),
         "single_point_ms": round(single_seconds / points * 1e3, 3),
         "batched_events_per_s": round(events * points / batched_seconds),
@@ -422,12 +436,13 @@ def test_batched_spill_sweep(request):
     configurations = _compact_sweep(trace, hierarchy)
     trace.compiled()
 
-    engine = BatchReplayEngine(trace, factory)
-    start = time.perf_counter()
-    batched_results = engine.run_configurations(configurations)
-    batched_seconds = time.perf_counter() - start
-    single_seconds, identical = _check_against_oracles(
-        trace, factory, configurations, batched_results
+    batched_rounds, single_rounds, engine, batched_results, single_results = (
+        _paired_rounds(trace, factory, configurations, 3 if dedicated else 2)
+    )
+    batched_seconds = min(batched_rounds)
+    single_seconds = min(single_rounds)
+    identical = _identical(
+        trace, factory, configurations, batched_results, single_results
     )
     spilling = sum(1 for group in engine._dedicated_cache.values() if group.spilled)
     points = len(configurations)
@@ -438,6 +453,8 @@ def test_batched_spill_sweep(request):
         "events": len(trace),
         "batched_s": round(batched_seconds, 3),
         "single_fast_s": round(single_seconds, 3),
+        "batched_s_rounds": [round(seconds, 3) for seconds in batched_rounds],
+        "single_fast_s_rounds": [round(seconds, 3) for seconds in single_rounds],
         "speedup_vs_single_fast": round(single_seconds / batched_seconds, 2),
         "identical_metrics": identical,
         "batched_configurations": engine.batched_configurations,

@@ -16,6 +16,10 @@ asserted:
    ``ProfileResult`` is byte-identical to the one-shot in-memory
    compile-and-replay of the same events.
 
+An ungated ``windows`` row times windowed exploration against a plain
+sweep of the same points (``diurnal`` x ``compact``) and asserts that the
+two end in identical records.
+
 Full runs write ``BENCH_stream.json`` in the repository root, quick runs
 the git-ignored ``BENCH_stream.quick.json``, which the CI bench-smoke job
 uploads as an artifact after hard-gating its identity flag.  Plain pytest
@@ -27,6 +31,7 @@ Run with ``pytest benchmarks/test_stream_scale.py -s``.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -35,7 +40,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import registry
 from repro.core.configuration import configuration_from_point
+from repro.core.exploration import ExplorationEngine
 from repro.core.factory import AllocatorFactory
 from repro.core.space import STANDARD_SPACES
 from repro.memhier.hierarchy import embedded_two_level
@@ -44,7 +51,9 @@ from repro.stream import (
     DEFAULT_SEGMENT_EVENTS,
     SyntheticSource,
     TraceFileSource,
+    WindowSpec,
     stream_profile,
+    windowed_exploration,
 )
 from repro.workloads.traces import load_trace
 
@@ -270,3 +279,59 @@ def test_streamed_result_is_byte_identical_to_oneshot(tmp_path):
     )
     assert identical
     assert streamed.fingerprint == trace.fingerprint()
+
+
+def test_windows_against_explore():
+    """Windowed exploration against a plain sweep of the same points.
+
+    ``diurnal`` x ``compact`` at the CLI's default 1000-event windows, both
+    sides best of the same interleaved rounds (three in full mode, one in
+    quick mode).  No time gate: the row records both times and their
+    ratio, and asserts that the windowed run ends in the sweep's records.
+    """
+    trace = registry.workloads.create("diurnal").generate(seed=1)
+    trace.compiled()  # compile once up front, as both paths would share it
+    space = STANDARD_SPACES["compact"]()
+    spec = WindowSpec(events=1000)
+    windows_rounds: list[float] = []
+    explore_rounds: list[float] = []
+    for _ in range(3 if _FULL_ENV else 1):
+        gc.collect()
+        start = time.perf_counter()
+        windowed, analysis = windowed_exploration(ExplorationEngine(space, trace), spec)
+        windows_rounds.append(time.perf_counter() - start)
+        gc.collect()
+        start = time.perf_counter()
+        explored = ExplorationEngine(space, trace).explore()
+        explore_rounds.append(time.perf_counter() - start)
+    identical = [record.as_dict() for record in windowed] == [
+        record.as_dict() for record in explored
+    ]
+    windows_s = min(windows_rounds)
+    explore_s = min(explore_rounds)
+    _RESULTS["windows"] = {
+        "workload": "diurnal",
+        "space": "compact",
+        "points": len(windowed),
+        "events": len(trace),
+        "window_events": spec.size,
+        "windows": len(analysis),
+        "windows_s": round(windows_s, 3),
+        "explore_s": round(explore_s, 3),
+        "windows_s_rounds": [round(seconds, 3) for seconds in windows_rounds],
+        "explore_s_rounds": [round(seconds, 3) for seconds in explore_rounds],
+        "windows_over_explore": round(windows_s / explore_s, 2),
+        "identical_records": identical,
+    }
+    print_table(
+        "Windowed exploration vs plain sweep (diurnal x compact)",
+        [
+            ("points x windows", f"{len(windowed)} x {len(analysis)}", "-"),
+            ("windows", f"{windows_s:.2f} s", "-"),
+            ("explore", f"{explore_s:.2f} s", "-"),
+            ("windows / explore", f"x{windows_s / explore_s:.2f}", "no gate"),
+            ("identical final records", identical, "hard gate"),
+        ],
+        ("quantity", "measured", "note"),
+    )
+    assert identical

@@ -144,12 +144,6 @@ class BuddyPool(Pool):
         self._free_offsets[order].append(offset)
         self.stats.accesses.write(1)
 
-    def reset(self) -> None:
-        super().reset()
-        self._free_offsets = [[] for _ in range(self._max_order + 1)]
-        self._arena_base = None
-        self._order_of_block = {}
-
     @property
     def free_bytes(self) -> int:
         """Total bytes currently on the buddy free lists."""

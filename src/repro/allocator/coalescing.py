@@ -71,9 +71,6 @@ class CoalescingPolicy:
         """Optional periodic pass (used by deferred coalescing)."""
         return None
 
-    def reset(self) -> None:
-        """Clear per-run state."""
-
 
 def _find_neighbours(
     block: Block, free_list: FreeList
@@ -177,9 +174,6 @@ class DeferredCoalesce(CoalescingPolicy):
         if interval <= 0:
             raise ValueError(f"deferred coalescing interval must be positive, got {interval}")
         self.interval = interval
-        self._frees_since_pass = 0
-
-    def reset(self) -> None:
         self._frees_since_pass = 0
 
     def on_free(

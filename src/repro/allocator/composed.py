@@ -46,10 +46,9 @@ class ComposedAllocator:
         # Size -> ordered tuple of accepting pools.  ``Pool.accepts`` is a
         # pure function of the request size and the pool's static
         # configuration (true for every pool family in the library), so the
-        # routing table stays valid for the allocator's whole lifetime,
-        # across :meth:`reset` included.  Real traces have a handful of
-        # distinct sizes, so this replaces a per-event accepts() scan with
-        # one dict hit.
+        # routing table stays valid for the allocator's whole lifetime.  Real
+        # traces have a handful of distinct sizes, so this replaces a
+        # per-event accepts() scan with one dict hit.
         self._route_cache: dict[int, tuple[Pool, ...]] = {}
 
     # -- allocation interface --------------------------------------------
@@ -143,13 +142,6 @@ class ComposedAllocator:
 
     def stats_for(self, pool_name: str) -> PoolStats:
         return self.pool_named(pool_name).stats
-
-    def reset(self) -> None:
-        """Reset every pool and the dispatch table (between exploration runs)."""
-        for pool in self.pools:
-            pool.reset()
-        self._owner_of.clear()
-        self._dispatch_accesses = 0
 
     def check_all_freed(self) -> bool:
         """True when the application released every block (leak check)."""

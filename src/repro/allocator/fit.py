@@ -41,9 +41,6 @@ class FitPolicy:
         """Pick a free block of at least ``size`` bytes from ``free_list``."""
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Clear per-run state (e.g. next-fit's roving pointer)."""
-
 
 class FirstFit(FitPolicy):
     """Take the first block large enough, in free-list order."""
@@ -69,9 +66,6 @@ class NextFit(FitPolicy):
     policy_name = "next_fit"
 
     def __init__(self) -> None:
-        self._rover = 0
-
-    def reset(self) -> None:
         self._rover = 0
 
     def select(self, free_list: FreeList, size: int) -> FitResult:

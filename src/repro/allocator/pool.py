@@ -134,13 +134,6 @@ class Pool:
         """Bytes currently reserved from the backing memory module."""
         return self.stats.footprint
 
-    def reset(self) -> None:
-        """Drop all state (used between exploration runs)."""
-        self._live.clear()
-        self._freed_addresses.clear()
-        self.space.reset()
-        self.stats = PoolStats()
-
 
 class FixedSizePool(Pool):
     """Dedicated pool for a single block size.
@@ -377,13 +370,6 @@ class GeneralPool(Pool):
         """Adjacent free blocks may merge only within one acquired chunk."""
         return upper.address not in self._chunk_starts
 
-    def reset(self) -> None:
-        super().reset()
-        self.free_list.clear()
-        self.fit.reset()
-        self.coalescing.reset()
-        self._chunk_starts.clear()
-
 
 class RegionPool(Pool):
     """Bump-pointer arena.
@@ -436,8 +422,8 @@ class RegionPool(Pool):
     def reset_region(self) -> None:
         """Release every block and rewind the bump pointer.
 
-        Unlike :meth:`Pool.reset` this keeps the accumulated statistics: it
-        models the application-visible "free the whole region" operation.
+        This keeps the accumulated statistics: it models the
+        application-visible "free the whole region" operation.
         """
         self._live.clear()
         self._freed_addresses.clear()
@@ -448,8 +434,3 @@ class RegionPool(Pool):
             self.stats.shrink_footprint(released)
         self.space.reset()
         self.stats.accesses.write(1)
-
-    def reset(self) -> None:
-        super().reset()
-        self._bump = 0
-        self._chunk_end = 0

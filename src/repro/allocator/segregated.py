@@ -136,11 +136,6 @@ class SegregatedFitPool(Pool):
         self.stats.accesses.write(1)
         self._free_lists[index].push(block)
 
-    def reset(self) -> None:
-        super().reset()
-        self._free_lists = [LIFOFreeList() for _ in self.size_classes]
-        self._class_of_block = {}
-
 
 def exact_size_classes(sizes: list[int]) -> list[SizeClass]:
     """Build dedicated (exact) size classes for the given block sizes.

@@ -172,8 +172,3 @@ class SlabPool(Pool):
     @property
     def slab_count(self) -> int:
         return len(self._slabs)
-
-    def reset(self) -> None:
-        super().reset()
-        self._slabs = {}
-        self._partial = []

@@ -39,7 +39,12 @@ and the same dedicated-size set share the general pool's entire replay.
   counters (a (configuration × pool) matrix of precomputed final
   counters), and :meth:`Profiler._collect` turns them into a
   :class:`~repro.profiling.metrics.ProfileResult` exactly as single replay
-  does.
+  does;
+* given window boundaries (event counts), every stream records its length
+  and totals at each and every group simulation its counters, so one sweep
+  also yields each configuration's cumulative result at every boundary
+  (:meth:`BatchReplayEngine.run_windows`), which is what windowed analysis
+  (:mod:`repro.stream.windows`) differentiates into per-window metrics.
 
 Byte identity with single replay and the event-loop oracle is the contract
 (``TestKernelIdentityAcrossSpaces`` in the batch-replay tests enforces it
@@ -92,7 +97,7 @@ from ..allocator.splitting import (
     AlwaysSplit,
     ThresholdSplit,
 )
-from ..allocator.stats import PoolStats
+from ..allocator.stats import AccessCounter, PoolStats
 from ..memhier.energy import EnergyModel
 from .metrics import ProfileResult
 from .profiler import (
@@ -176,53 +181,32 @@ _DEDICATED_KINDS = ("fixed", "slab")
 _NO_SPILLS: frozenset[int] = frozenset()
 
 
-class _StreamInfo:
-    """One pool's event stream plus its replay-invariant totals.
-
-    ``codes`` holds ``slot`` for an ALLOC and ``~slot`` for a FREE.  The
-    totals let the simulation skip per-event dispatch/payload bookkeeping:
-    dispatch is ``len(codes)`` minus the frees of failed allocations,
-    ``payload`` is the precomputed sequential sum (bit-identical to the
-    replay loops' running accumulation) unless an out-of-memory event
-    shrinks the success set, in which case the sum is recomputed in stream
-    order over the surviving allocations.
-    """
-
-    __slots__ = ("codes", "payload", "pos_allocs", "size0_allocs")
-
-    def __init__(
-        self, codes: list[int], payload: float, pos_allocs: int, size0_allocs: int
-    ) -> None:
-        self.codes = codes
-        self.payload = payload
-        self.pos_allocs = pos_allocs
-        self.size0_allocs = size0_allocs
+def _counters(stats: PoolStats) -> tuple:
+    """Every :class:`PoolStats` field in field order, the access counter's
+    reads and writes first, as a flat tuple."""
+    accesses = stats.accesses
+    return (
+        accesses.reads, accesses.writes, stats.footprint, stats.peak_footprint,
+        stats.live_payload, stats.peak_live_payload, stats.live_gross, stats.live_blocks,
+        stats.alloc_ops, stats.free_ops, stats.failed_allocs, stats.free_list_visits,
+        stats.splits, stats.coalesces,
+    )
 
 
 class _GroupResult:
-    """Final state of one shared pool-group simulation."""
+    """One shared pool-group simulation: its state at every window boundary.
 
-    __slots__ = (
-        "stats", "payload", "dispatch", "oom", "live", "touched", "spilled", "brk"
-    )
+    ``windows`` holds one tuple per boundary: the :func:`_counters` of the
+    pool's :class:`PoolStats`, then its payload accesses, dispatch reads
+    and out-of-memory failures.
+    """
+
+    __slots__ = ("windows", "spilled", "brk")
 
     def __init__(
-        self,
-        stats: PoolStats | None = None,
-        payload: float = 0.0,
-        dispatch: int = 0,
-        oom: int = 0,
-        live: int = 0,
-        touched: bool = False,
-        spilled: frozenset[int] = _NO_SPILLS,
-        brk: int = 0,
+        self, windows: list[tuple], spilled: frozenset[int] = _NO_SPILLS, brk: int = 0
     ) -> None:
-        self.stats = stats
-        self.payload = payload
-        self.dispatch = dispatch
-        self.oom = oom
-        self.live = live
-        self.touched = touched
+        self.windows = windows
         #: Slot codes a dedicated pool refused for lack of capacity; the
         #: general pool serves them (and their frees) instead.
         self.spilled = spilled
@@ -230,6 +214,11 @@ class _GroupResult:
         #: Growth only ever advances it, so a capacity at least this large
         #: can never have altered the run — the capacity-sharing criterion.
         self.brk = brk
+
+    def at(self, window: int) -> tuple[PoolStats, float, int, int]:
+        """``(stats, payload, dispatch, oom)`` at window boundary ``window``."""
+        reads, writes, *fields, payload, dispatch, oom = self.windows[window]
+        return PoolStats(AccessCounter(reads, writes), *fields), payload, dispatch, oom
 
 
 def _simulate_general(
@@ -239,7 +228,7 @@ def _simulate_general(
     splitting: str,
     chunk_size: int,
     capacity: int | None,
-    info: _StreamInfo,
+    stream: tuple[list[int], list[tuple[int, float, int]]],
     slot_sizes,
 ) -> _GroupResult:
     """Replay one general-pool stream on flat integer state.
@@ -255,6 +244,11 @@ def _simulate_general(
 
     Addresses are pool-relative (base 0): every ``PoolStats`` field is
     invariant under a uniform translation of the pool's base address.
+
+    ``stream`` is :meth:`BatchReplayEngine._general_stream`'s codes and
+    window marks.  The event loop runs window by window up to each mark's
+    stop and records every counter there, so one run yields the group's
+    state at every window boundary.
     """
     org = _ORG_CODES[free_list]
     reverse = org == _ORG_LIFO  # search runs newest-first over the storage
@@ -686,134 +680,122 @@ def _simulate_general(
     deferred_n = 0
     dead_frees = 0
 
-    codes = info.codes
-    for code in codes:
-        if code >= 0:
-            size = slot_sizes[code]
-            if size <= 0:
-                # Empty route (no pool accepts a non-positive size): the
-                # composed allocator raises without touching any pool's
-                # counters; accounted in the stream's precomputed totals.
-                continue
-            need = ((size + 3) & -4) + 8  # align_up(size, 4) + HEADER_BYTES
-            index, visits, found = select(need)
-            reads += visits
-            fl_visits += visits
-            if found:
-                addr = addrs[index]
-                block_size = szs[index]
-                delete(index)
-                writes += 1  # unlink from the free list
-                remainder = block_size - need
-                if (
-                    split
-                    and remainder >= split_min
-                    and (split == _SPLIT_ALWAYS or remainder >= split_ratio * need)
-                ):
-                    splits_n += 1
-                    writes += 2  # shrink header + remainder header
-                    reads += push(addr + need, remainder)
-                    writes += 1  # link the remainder
-                    block_size = need
-            else:
-                granted = -(-need // chunk_size) * chunk_size
-                if capacity is not None and brk + granted > capacity:
-                    if brk + need <= capacity:
-                        granted = need
-                    else:
-                        failed_allocs += 1
-                        dead.add(code)
-                        continue
-                addr = brk
-                brk += granted
-                if brk > peak_footprint:
-                    peak_footprint = brk
-                chunk_starts.add(addr)
-                remainder = granted - need
-                if remainder >= MIN_WILDERNESS_REMAINDER:
-                    reads += push(addr + need, remainder)
-                    writes += 2  # remainder header + link
-                    block_size = need
-                else:
-                    block_size = granted
-            writes += 1  # header write for the allocated block
-            alloc_ops += 1
-            live_payload += size
-            if live_payload > peak_live_payload:
-                peak_live_payload = live_payload
-            live_gross += block_size
-            live_addr[code] = addr
-            live_bsz[code] = block_size
-            live_n += 1
-        else:
-            slot = ~code
-            block_size = live_bsz[slot]
-            if block_size < 0:
-                # The matching allocation failed: the free is skipped
-                # before the dispatch-table lookup.
-                dead_frees += 1
-                continue
-            addr = live_addr[slot]
-            live_n -= 1
-            free_ops += 1
-            live_payload -= slot_sizes[slot]
-            live_gross -= block_size
-            reads += 1  # header read
-            if coal == _COAL_IMMEDIATE:
-                addr, block_size, merge_reads, merge_writes, merges = merge(
-                    addr, block_size
-                )
-                reads += merge_reads
-                writes += merge_writes
-                coalesces_n += merges
-            else:
-                deferred_n += 1  # only observed when coal is deferred
-            reads += push(addr, block_size)
-            writes += 1
-            if deferred_n >= interval:
-                deferred_n = 0
-                pass_reads, pass_writes, pass_merges = maintenance()
-                reads += pass_reads
-                writes += pass_writes
-                coalesces_n += pass_merges
-
-    oom_extra = len(dead)
-    if oom_extra:
-        # Recompute the payload sum in stream order over the surviving
-        # allocations so float accumulation stays bit-identical to the
-        # replay loops (the precomputed total covers the no-OOM case).
-        payload = 0.0
-        for code in codes:
-            if code >= 0 and code not in dead:
+    codes, marks = stream
+    states = []  # (counters, dispatch reads, dead allocations) at each stop
+    start = 0
+    for stop, _payload, _size0_allocs in marks:
+        for code in codes[start:stop]:
+            if code >= 0:
                 size = slot_sizes[code]
-                if size > 0:
-                    payload += size * DEFAULT_PAYLOAD_ACCESS_FACTOR
-    else:
-        payload = info.payload
+                if size <= 0:
+                    # Empty route (no pool accepts a non-positive size): the
+                    # composed allocator raises without touching any pool's
+                    # counters; accounted in the stream's precomputed totals.
+                    continue
+                need = ((size + 3) & -4) + 8  # align_up(size, 4) + HEADER_BYTES
+                index, visits, found = select(need)
+                reads += visits
+                fl_visits += visits
+                if found:
+                    addr = addrs[index]
+                    block_size = szs[index]
+                    delete(index)
+                    writes += 1  # unlink from the free list
+                    remainder = block_size - need
+                    if (
+                        split
+                        and remainder >= split_min
+                        and (split == _SPLIT_ALWAYS or remainder >= split_ratio * need)
+                    ):
+                        splits_n += 1
+                        writes += 2  # shrink header + remainder header
+                        reads += push(addr + need, remainder)
+                        writes += 1  # link the remainder
+                        block_size = need
+                else:
+                    granted = -(-need // chunk_size) * chunk_size
+                    if capacity is not None and brk + granted > capacity:
+                        if brk + need <= capacity:
+                            granted = need
+                        else:
+                            failed_allocs += 1
+                            dead.add(code)
+                            continue
+                    addr = brk
+                    brk += granted
+                    if brk > peak_footprint:
+                        peak_footprint = brk
+                    chunk_starts.add(addr)
+                    remainder = granted - need
+                    if remainder >= MIN_WILDERNESS_REMAINDER:
+                        reads += push(addr + need, remainder)
+                        writes += 2  # remainder header + link
+                        block_size = need
+                    else:
+                        block_size = granted
+                writes += 1  # header write for the allocated block
+                alloc_ops += 1
+                live_payload += size
+                if live_payload > peak_live_payload:
+                    peak_live_payload = live_payload
+                live_gross += block_size
+                live_addr[code] = addr
+                live_bsz[code] = block_size
+                live_n += 1
+            else:
+                slot = ~code
+                block_size = live_bsz[slot]
+                if block_size < 0:
+                    # The matching allocation failed: the free is skipped
+                    # before the dispatch-table lookup.
+                    dead_frees += 1
+                    continue
+                addr = live_addr[slot]
+                live_n -= 1
+                free_ops += 1
+                live_payload -= slot_sizes[slot]
+                live_gross -= block_size
+                reads += 1  # header read
+                if coal == _COAL_IMMEDIATE:
+                    addr, block_size, merge_reads, merge_writes, merges = merge(
+                        addr, block_size
+                    )
+                    reads += merge_reads
+                    writes += merge_writes
+                    coalesces_n += merges
+                else:
+                    deferred_n += 1  # only observed when coal is deferred
+                reads += push(addr, block_size)
+                writes += 1
+                if deferred_n >= interval:
+                    deferred_n = 0
+                    pass_reads, pass_writes, pass_merges = maintenance()
+                    reads += pass_reads
+                    writes += pass_writes
+                    coalesces_n += pass_merges
+        start = stop
+        counters = (
+            reads, writes, brk, peak_footprint, live_payload, peak_live_payload, live_gross,
+            live_n, alloc_ops, free_ops, failed_allocs, fl_visits, splits_n, coalesces_n,
+        )
+        states.append((counters, stop - dead_frees, len(dead)))
 
-    stats = PoolStats()
-    stats.accesses.reads = reads
-    stats.accesses.writes = writes
-    stats.footprint = brk
-    stats.peak_footprint = peak_footprint
-    stats.live_payload = live_payload
-    stats.peak_live_payload = peak_live_payload
-    stats.live_gross = live_gross
-    stats.live_blocks = live_n
-    stats.alloc_ops = alloc_ops
-    stats.free_ops = free_ops
-    stats.failed_allocs = failed_allocs
-    stats.free_list_visits = fl_visits
-    stats.splits = splits_n
-    stats.coalesces = coalesces_n
-    return _GroupResult(
-        stats=stats,
-        payload=payload,
-        dispatch=len(codes) - dead_frees,
-        oom=info.size0_allocs + oom_extra,
-        live=live_n,
-        touched=info.pos_allocs - oom_extra > 0,
-    )
+    windows = []
+    payload = 0.0
+    start = 0
+    for (counters, dispatch, oom_extra), (stop, total, size0_allocs) in zip(states, marks):
+        if dead:
+            # Recompute the payload sum over the surviving allocations (the
+            # precomputed total covers the no-OOM case).
+            for code in codes[start:stop]:
+                if code >= 0 and code not in dead:
+                    size = slot_sizes[code]
+                    if size > 0:
+                        payload += size * DEFAULT_PAYLOAD_ACCESS_FACTOR
+            total = payload
+        start = stop
+        windows.append((*counters, total, dispatch, size0_allocs + oom_extra))
+    return _GroupResult(windows, brk=brk)
 
 
 def _general_key(dedicated_sizes: frozenset[int], spec) -> tuple:
@@ -842,8 +824,7 @@ class _ShimPool:
     """Just enough pool surface for :meth:`Profiler._collect`.
 
     ``_collect`` (via ``breakdown_accesses``/``footprint_by_level``) only
-    reads ``name`` and ``stats``; the stats object is shared read-only with
-    the group cache (``snapshot()`` copies into a fresh dict).
+    reads ``name`` and ``stats``.
     """
 
     __slots__ = ("name", "stats")
@@ -882,6 +863,11 @@ class BatchReplayEngine:
         allocators for the configurations the batch kernel cannot express.
     energy_model:
         As for :class:`Profiler`.
+    boundaries:
+        Window boundaries as ascending event counts, the last being
+        ``len(trace)`` (the default is that one boundary).  Every group
+        simulation records its state at each, and :meth:`run_windows`
+        returns one cumulative result per boundary.
 
     The engine is long-lived on purpose: all stream partitions and group
     simulations are cached across :meth:`run_configuration` calls, so a
@@ -894,15 +880,26 @@ class BatchReplayEngine:
         trace: AllocationTrace,
         factory: "AllocatorFactory",
         energy_model: EnergyModel | None = None,
+        boundaries: list[int] | None = None,
     ) -> None:
         self.trace = trace
         self.compiled = trace.compiled()
         self.factory = factory
         self.energy_model = energy_model or EnergyModel(factory.hierarchy)
-        # size -> per-size event stream (slot for ALLOC, ~slot for FREE).
-        self._size_streams_cache: dict[int, list[int]] | None = None
-        # (dedicated-size set, spill set) -> the general pool's stream + totals.
-        self._general_streams: dict[tuple, _StreamInfo] = {}
+        self.boundaries = list(boundaries) if boundaries is not None else [len(trace)]
+        if not self.boundaries or self.boundaries[-1] != len(trace) or any(
+            low >= high for low, high in zip(self.boundaries, self.boundaries[1:])
+        ):
+            raise ValueError(
+                f"window boundaries must ascend to the trace length {len(trace)}: "
+                f"{self.boundaries}"
+            )
+        # size -> (per-size event stream: slot for ALLOC, ~slot for FREE;
+        # its length at each window boundary).
+        self._size_streams_cache: dict[int, tuple[list[int], list[int]]] | None = None
+        # (dedicated-size set, spill set) -> the general pool's stream and
+        # its window marks.
+        self._general_streams: dict[tuple, tuple[list[int], list[tuple]]] = {}
         # group key -> cached _GroupResult (the (config x pool) matrix).
         # General keys are capacity-free; a (key, capacity) entry exists
         # only for groups that genuinely overflow that capacity.
@@ -915,7 +912,7 @@ class BatchReplayEngine:
 
     # -- stream partitioning ----------------------------------------------
 
-    def _size_streams(self) -> dict[int, list[int]]:
+    def _size_streams(self) -> dict[int, tuple[list[int], list[int]]]:
         """Partition the compiled columns by request size (computed once).
 
         Every event of a given size lands in that size's stream whatever
@@ -923,69 +920,85 @@ class BatchReplayEngine:
         whole stream, and configurations without one route it to the
         general pool instead.  FREE events resolve their size through the
         slot table; unmatched frees (``NO_SLOT``) are dropped here exactly
-        as both replay oracles skip them.
+        as both replay oracles skip them.  Each stream comes with its
+        length at every window boundary.
         """
         streams = self._size_streams_cache
         if streams is None:
             streams = {}
             compiled = self.compiled
+            kinds = compiled.kinds
             sizes = compiled.sizes
             slots = compiled.slots
             slot_sizes = compiled.slot_sizes
-            for index, kind in enumerate(compiled.kinds):
-                if kind:
-                    size = sizes[index]
-                    stream = streams.get(size)
-                    if stream is None:
-                        stream = streams[size] = []
-                    stream.append(slots[index])
-                else:
-                    slot = slots[index]
-                    if slot < 0:
-                        continue
-                    streams[slot_sizes[slot]].append(~slot)
+            start = 0
+            for window, stop in enumerate(self.boundaries):
+                for index in range(start, stop):
+                    if kinds[index]:
+                        size = sizes[index]
+                        stream = streams.get(size)
+                        if stream is None:
+                            stream = streams[size] = ([], [0] * window)
+                        stream[0].append(slots[index])
+                    else:
+                        slot = slots[index]
+                        if slot < 0:
+                            continue
+                        streams[slot_sizes[slot]][0].append(~slot)
+                for codes, stops in streams.values():
+                    stops.append(len(codes))
+                start = stop
             self._size_streams_cache = streams
         return streams
 
     def _general_stream(
         self, dedicated_sizes: frozenset[int], spilled: frozenset[int]
-    ) -> _StreamInfo:
+    ) -> tuple[list[int], list[tuple[int, float, int]]]:
         """Events the general pool sees under ``dedicated_sizes`` (cached).
 
         That is every event of a size no dedicated pool serves, plus the
         ``spilled`` allocations (slot codes a dedicated pool refused) and
-        their frees, all in event order.
+        their frees, all in event order: ``slot`` for an ALLOC and ``~slot``
+        for a FREE.  With the codes come one ``(length, payload,
+        size0_allocs)`` mark per window boundary: the stream's length there,
+        and the payload accesses and non-positive-size allocations of that
+        prefix, which let the simulation skip that per-event bookkeeping.
+        The payload factor is integral, so every payload sum is exact
+        whatever its order.
         """
-        info = self._general_streams.get((dedicated_sizes, spilled))
-        if info is None:
+        stream = self._general_streams.get((dedicated_sizes, spilled))
+        if stream is None:
             codes: list[int] = []
             append = codes.append
+            marks = []
             compiled = self.compiled
+            kinds = compiled.kinds
             sizes = compiled.sizes
             slots = compiled.slots
             slot_sizes = compiled.slot_sizes
             factor = DEFAULT_PAYLOAD_ACCESS_FACTOR
             payload = 0.0
-            pos_allocs = 0
             size0_allocs = 0
-            for index, kind in enumerate(compiled.kinds):
-                slot = slots[index]
-                if kind:
-                    size = sizes[index]
-                    if size not in dedicated_sizes or slot in spilled:
-                        append(slot)
-                        if size > 0:
-                            payload += size * factor
-                            pos_allocs += 1
-                        else:
-                            size0_allocs += 1
-                elif slot >= 0 and (
-                    slot_sizes[slot] not in dedicated_sizes or slot in spilled
-                ):
-                    append(~slot)
-            info = _StreamInfo(codes, payload, pos_allocs, size0_allocs)
-            self._general_streams[(dedicated_sizes, spilled)] = info
-        return info
+            start = 0
+            for stop in self.boundaries:
+                for index in range(start, stop):
+                    slot = slots[index]
+                    if kinds[index]:
+                        size = sizes[index]
+                        if size not in dedicated_sizes or slot in spilled:
+                            append(slot)
+                            if size > 0:
+                                payload += size * factor
+                            else:
+                                size0_allocs += 1
+                    elif slot >= 0 and (
+                        slot_sizes[slot] not in dedicated_sizes or slot in spilled
+                    ):
+                        append(~slot)
+                marks.append((len(codes), payload, size0_allocs))
+                start = stop
+            stream = self._general_streams[(dedicated_sizes, spilled)] = (codes, marks)
+        return stream
 
     # -- group simulations -------------------------------------------------
 
@@ -1002,7 +1015,8 @@ class BatchReplayEngine:
         re-run bounded.  An allocation refused there is a spill: the pool
         keeps its state, the refused slot code joins the group's
         ``spilled`` set and its free is skipped here, because the general
-        pool serves both (and counts their dispatch).
+        pool serves both (and counts their dispatch).  The runner is fed
+        window by window and its state recorded at every boundary.
         """
         result = self._dedicated_cache.get(key)
         if result is not None:
@@ -1027,18 +1041,20 @@ class BatchReplayEngine:
                     "batch", block_size, slab_bytes=slab_bytes, address_space=space, strict=True
                 )
             )
-        stream = self._size_streams().get(block_size, ())
-        spilled = runner.feed(stream, self.compiled.slot_sizes)
+        codes, stops = self._size_streams().get(block_size) or ((), [0] * len(self.boundaries))
+        slot_sizes = self.compiled.slot_sizes
         stats = runner.stats
-        result = _GroupResult(
-            stats=stats,
-            payload=runner.payload * DEFAULT_PAYLOAD_ACCESS_FACTOR,
-            dispatch=stats.alloc_ops + stats.free_ops,
-            live=stats.live_blocks,
-            touched=stats.alloc_ops > 0,
-            spilled=frozenset(spilled) if spilled else _NO_SPILLS,
-            brk=space.used,
-        )
+        spilled: list[int] = []
+        windows = []
+        start = 0
+        for stop in stops:
+            spilled += runner.feed(codes[start:stop], slot_sizes)
+            start = stop
+            dispatch = stats.alloc_ops + stats.free_ops
+            windows.append(
+                (*_counters(stats), runner.payload * DEFAULT_PAYLOAD_ACCESS_FACTOR, dispatch, 0)
+            )
+        result = _GroupResult(windows, frozenset(spilled) if spilled else _NO_SPILLS, space.used)
         self._dedicated_cache[key] = result
         return result
 
@@ -1056,7 +1072,7 @@ class BatchReplayEngine:
         if result is None:
             result = self._run_general(key, None)
             self._general_cache[key] = result
-        if capacity is None or result.stats.footprint <= capacity:
+        if capacity is None or result.brk <= capacity:
             return result
         bounded_key = key + (capacity,)
         bounded = self._general_cache.get(bounded_key)
@@ -1141,9 +1157,26 @@ class BatchReplayEngine:
 
     def run_configuration(self, configuration: "AllocatorConfiguration") -> ProfileResult:
         """Profile ``configuration``; byte-identical to :meth:`Profiler.run`."""
+        return self.run_windows(configuration)[-1]
+
+    def run_windows(self, configuration: "AllocatorConfiguration") -> list[ProfileResult]:
+        """One cumulative :class:`ProfileResult` per window boundary.
+
+        The result at boundary ``b`` equals a one-shot replay of the
+        trace's first ``b`` events, except that only the last result
+        carries the ``__profile__`` section.  A configuration :meth:`_plan`
+        refuses takes a single replay, which has no window boundaries: with
+        more than one boundary it raises :class:`ValueError`.
+        """
         plan = self._plan(configuration)
         if plan is None:
-            return self._run_single(configuration)
+            if len(self.boundaries) > 1:
+                raise ValueError(
+                    f"configuration {configuration.configuration_id!r}: windowed "
+                    "replay needs a standard pool stack and a trace that never "
+                    "re-binds a live request id"
+                )
+            return [self._run_single(configuration)]
         mapping, dedicated, (general_name, general_key, general_capacity) = plan
         groups: list[tuple[str, _GroupResult]] = []
         spilled = _NO_SPILLS
@@ -1155,32 +1188,37 @@ class BatchReplayEngine:
         groups.append(
             (general_name, self._general_result((spilled,) + general_key, general_capacity))
         )
-        shims: list[_ShimPool] = []
-        payload_by_pool: dict[str, float] = {}
-        dispatch = 0
-        live_blocks = 0
-        oom_failures = 0
-        for name, group in groups:
-            shims.append(_ShimPool(name, group.stats))
-            if group.touched:
-                payload_by_pool[name] = group.payload
-            dispatch += group.dispatch
-            live_blocks += group.live
-            oom_failures += group.oom
-        allocator = _ShimAllocator(
-            shims, configuration.configuration_id, dispatch, live_blocks
-        )
         profiler = Profiler(mapping, self.energy_model)
-        result = profiler._collect(
-            allocator,
-            self.trace.name,
-            len(self.trace),
-            configuration.configuration_id,
-            payload_by_pool,
-        )
-        result.per_pool["__profile__"] = {"oom_failures": oom_failures}
+        results = []
+        for window, operation_count in enumerate(self.boundaries):
+            shims: list[_ShimPool] = []
+            payload_by_pool: dict[str, float] = {}
+            dispatch = 0
+            live_blocks = 0
+            oom_failures = 0
+            for name, group in groups:
+                stats, payload, pool_dispatch, oom = group.at(window)
+                shims.append(_ShimPool(name, stats))
+                if stats.alloc_ops:
+                    payload_by_pool[name] = payload
+                dispatch += pool_dispatch
+                live_blocks += stats.live_blocks
+                oom_failures += oom
+            allocator = _ShimAllocator(
+                shims, configuration.configuration_id, dispatch, live_blocks
+            )
+            results.append(
+                profiler._collect(
+                    allocator,
+                    self.trace.name,
+                    operation_count,
+                    configuration.configuration_id,
+                    payload_by_pool,
+                )
+            )
+        results[-1].per_pool["__profile__"] = {"oom_failures": oom_failures}
         self.batched_configurations += 1
-        return result
+        return results
 
     def run_configurations(
         self, configurations: list["AllocatorConfiguration"]

@@ -23,7 +23,7 @@ Two replay paths produce byte-identical results:
   pools replay on the flat :class:`FixedPoolKernel` the batch engine runs
   too, slab and general pools on their own methods.  It serves one-shot
   replay (:meth:`Profiler.run` replays the whole trace as a single
-  segment), streaming and windowed replay alike;
+  segment) and streaming replay alike;
 * the **event loop** (:meth:`Profiler._replay_events`) walks the event
   objects and calls ``malloc``/``free`` per event.  It is the only oracle:
   the executable specification the kernel path is tested against (see
@@ -384,11 +384,7 @@ def _pool_runners(allocator: ComposedAllocator) -> list | None:
         return None
     runners: list = []
     for pool in dedicated:
-        if (
-            type(pool) is FixedSizePool
-            and type(pool.free_list) is LIFOFreeList
-            and not len(pool.free_list)  # Pool.reset keeps the free list
-        ):
+        if type(pool) is FixedSizePool and type(pool.free_list) is LIFOFreeList:
             runners.append(FixedPoolKernel(pool.block_size, pool.gross_size, pool.space, pool))
         elif type(pool) is SlabPool:
             runners.append(PoolDriver(pool))
@@ -429,10 +425,6 @@ class SegmentReplaySession:
     streams, so every pool counter comes out as the event loop's; the owner
     map is brought up to date at each boundary, and :meth:`finish` writes
     the kernels' state back into their pools.
-
-    Between segments the caller may take a :meth:`snapshot` — a cumulative
-    :class:`ProfileResult` at the segment boundary — which is what windowed
-    analysis differentiates into per-window metrics.
 
     Every other allocator sends each segment's reconstructed events through
     the event loop, :meth:`Profiler._replay_events`, with the live address
@@ -572,30 +564,6 @@ class SegmentReplaySession:
 
     # -- results -----------------------------------------------------------
 
-    def _payload_accesses(self) -> dict[str, float]:
-        if self._runners is None:
-            return dict(self._payload_by_name)
-        return {
-            pool.name: runner.payload * DEFAULT_PAYLOAD_ACCESS_FACTOR
-            for pool, runner in zip(self.allocator.pools, self._runners)
-            if runner.payload
-        }
-
-    def snapshot(self, configuration_id: str = "") -> ProfileResult:
-        """Cumulative :class:`ProfileResult` at the current segment boundary.
-
-        A pure read of the live counters — taking snapshots does not change
-        what later segments or :meth:`finish` produce.  Windowed analysis
-        differentiates consecutive snapshots into per-window metrics.
-        """
-        return self.profiler._collect(
-            self.allocator,
-            self.name,
-            self.events_seen,
-            configuration_id,
-            self._payload_accesses(),
-        )
-
     def finish(self, configuration_id: str = "") -> ProfileResult:
         """Final :class:`ProfileResult` over everything replayed so far.
 
@@ -604,9 +572,19 @@ class SegmentReplaySession:
         ``__profile__`` section), and the allocator is left in the event
         loop's end state.
         """
-        for runner in self._runners or ():
-            runner.write_back()
-        result = self.snapshot(configuration_id)
+        if self._runners is None:
+            payload_by_pool = self._payload_by_name
+        else:
+            for runner in self._runners:
+                runner.write_back()
+            payload_by_pool = {
+                pool.name: runner.payload * DEFAULT_PAYLOAD_ACCESS_FACTOR
+                for pool, runner in zip(self.allocator.pools, self._runners)
+                if runner.payload
+            }
+        result = self.profiler._collect(
+            self.allocator, self.name, self.events_seen, configuration_id, payload_by_pool
+        )
         result.per_pool["__profile__"] = {"oom_failures": self.oom_failures}
         return result
 

@@ -27,7 +27,6 @@ from .sources import (
 from .windows import (
     WindowSpec,
     WindowedAnalysis,
-    compile_windows,
     windowed_exploration,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "WindowSpec",
     "WindowedAnalysis",
     "compile_stream",
-    "compile_windows",
     "iter_event_chunks",
     "open_event_stream",
     "stream_profile",

@@ -1,34 +1,34 @@
-"""Windowed (phase) Pareto analysis over a segmented replay.
+"""Windowed (phase) Pareto analysis over one batched replay.
 
 Server traffic is not stationary: session churn, request bursts and
 diurnal load curves mean the allocator configuration that wins the whole
 trace can lose badly during individual phases.  This module cuts a trace
-into windows (a fixed event count or a fixed timestamp span), replays
-every configuration segment by segment with a
-:class:`~repro.profiling.profiler.SegmentReplaySession`, and keeps one
+into windows (a fixed event count or a fixed timestamp span), scores every
+configuration on a :class:`~repro.profiling.batch.BatchReplayEngine` given
+the window boundaries — each shared pool-group simulation records its
+counters at every boundary — and keeps one
 :class:`~repro.core.pareto.IncrementalParetoFront` *per window* over the
 per-window metric deltas — so a report can show not just the global front
 but which configurations dominate each phase, and where the front shifts.
 
-The cumulative totals of the windowed replay are byte-identical to the
-one-shot batch evaluation path (``tests/test_stream.py`` asserts it), so
-the :class:`~repro.core.results.ResultDatabase` this analysis produces is
-the same artefact ``dmexplore explore`` would write, with a ``windows``
-section attached.
+The final results are the batch engine's whole-trace results, so the
+:class:`~repro.core.results.ResultDatabase` this analysis produces holds
+the records ``dmexplore explore`` would write (``tests/test_stream.py``
+asserts it), with a ``windows`` section attached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable
 
 from ..core.exploration import LABEL_PREFIX
 from ..core.pareto import IncrementalParetoFront
 from ..core.results import ExplorationRecord, ResultDatabase
-from ..profiling.compiled import CompiledTrace, SegmentedTraceCompiler
+from ..profiling.batch import BatchReplayEngine
 from ..profiling.events import AllocationEvent
 from ..profiling.metrics import MetricSet, metric_keys
-from ..profiling.profiler import Profiler, SegmentReplaySession
 from .ingest import iter_event_chunks
 
 
@@ -179,30 +179,6 @@ class WindowedAnalysis:
         }
 
 
-def compile_windows(
-    trace, spec: WindowSpec
-) -> tuple[list[CompiledTrace], list[dict], str]:
-    """Compile a trace into window-aligned segments, once.
-
-    Segments are allocator-independent, so one compilation is shared by
-    every configuration of the sweep.  Returns the segments, the window
-    boundary descriptors, and the stream fingerprint (equal to
-    ``trace.fingerprint()``).
-    """
-    chunks = spec.split(trace)
-    compiler = SegmentedTraceCompiler(trace.name)
-    segments = [compiler.feed(chunk) for chunk in chunks]
-    boundaries = [
-        {
-            "index": index,
-            "events": len(chunk),
-            "end_timestamp": chunk[-1].timestamp,
-        }
-        for index, chunk in enumerate(chunks)
-    ]
-    return segments, boundaries, compiler.fingerprint()
-
-
 def _window_deltas(snapshots: list[MetricSet]) -> list[MetricSet]:
     """Differentiate cumulative boundary totals into per-window metrics.
 
@@ -234,19 +210,33 @@ def windowed_exploration(
 ) -> tuple[ResultDatabase, WindowedAnalysis]:
     """Run a windowed exploration over an engine's whole enumeration.
 
-    Every enumerated configuration is replayed segment by segment with a
-    :class:`SegmentReplaySession`; cumulative snapshots at each window
-    boundary are differentiated into per-window metrics and offered to the
-    per-window fronts.  The returned database holds the *final* records —
-    byte-identical to :meth:`ExplorationEngine.explore` — with the
-    analysis attached as its ``windows`` section; when the engine has a
-    result store, each window's record is persisted under the
-    window-qualified fingerprint ``<fingerprint>:w<index>`` (and the final
-    record under the plain fingerprint, warming ordinary explorations).
+    One :class:`BatchReplayEngine` over the engine's trace, given the
+    window boundaries, scores every enumerated configuration; its
+    cumulative results at the boundaries are differentiated into
+    per-window metrics and offered to the per-window fronts.  The returned
+    database holds the *final* records — byte-identical to
+    :meth:`ExplorationEngine.explore` — with the analysis attached as its
+    ``windows`` section; when the engine has a result store, each window's
+    record is persisted under the window-qualified fingerprint
+    ``<fingerprint>:w<index>`` (and the final record under the plain
+    fingerprint, warming ordinary explorations).
     """
     trace = engine.trace
-    segments, boundaries, fingerprint = compile_windows(trace, spec)
-    assert fingerprint == trace.fingerprint()
+    chunks = spec.split(trace)
+    boundaries = [
+        {
+            "index": index,
+            "events": len(chunk),
+            "end_timestamp": chunk[-1].timestamp,
+        }
+        for index, chunk in enumerate(chunks)
+    ]
+    batch = BatchReplayEngine(
+        trace,
+        engine.factory,
+        energy_model=engine.energy_model,
+        boundaries=list(accumulate(len(chunk) for chunk in chunks)),
+    )
     metrics = list(metrics) if metrics else list(engine.settings.metrics)
     analysis = WindowedAnalysis(spec, boundaries, metrics=metrics)
     if sink is not None and hasattr(sink, "attach_windows"):
@@ -257,22 +247,10 @@ def windowed_exploration(
     for index, point in engine.enumerate_points():
         label = f"{LABEL_PREFIX}{index:05d}"
         configuration = engine.configuration_for(point, label=label)
-        built = engine.factory.build(configuration)
-        profiler = Profiler(built.mapping, energy_model=engine.energy_model)
-        session = SegmentReplaySession(profiler, built.allocator, name=trace.name)
-        snapshots = []
-        for segment in segments:
-            session.replay_segment(segment)
-            snapshots.append(session.snapshot(configuration.configuration_id).totals)
-        profile = session.finish(configuration.configuration_id)
-        window_metrics = _window_deltas(snapshots)
+        results = batch.run_windows(configuration)
+        window_metrics = _window_deltas([result.totals for result in results])
         analysis.offer(configuration.configuration_id, window_metrics)
-        record = ExplorationRecord(
-            configuration=configuration,
-            metrics=profile.totals,
-            trace_name=trace.name,
-            oom_failures=session.oom_failures,
-        )
+        record = engine._record(configuration, results[-1])
         database.add(record)
         if sink is not None:
             sink.accept(record)
@@ -282,8 +260,8 @@ def windowed_exploration(
                 window_record = ExplorationRecord(
                     configuration=configuration,
                     metrics=metric_set,
-                    trace_name=f"{trace.name}",
-                    oom_failures=session.oom_failures,
+                    trace_name=trace.name,
+                    oom_failures=record.oom_failures,
                 )
                 store.put(
                     f"{engine.fingerprint}:w{window_index}",

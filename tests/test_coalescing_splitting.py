@@ -121,18 +121,6 @@ class TestDeferredCoalesce:
         with pytest.raises(ValueError):
             DeferredCoalesce(interval=0)
 
-    def test_reset_clears_counter(self):
-        policy = DeferredCoalesce(interval=2)
-        free_list = AddressOrderedFreeList()
-        block = Block(address=0, size=32)
-        policy.on_free(block, free_list)
-        free_list.push(block)
-        policy.reset()
-        other = Block(address=32, size=32)
-        policy.on_free(other, free_list)
-        free_list.push(other)
-        assert policy.maintenance(free_list) is None
-
 
 class TestCoalescingRegistry:
     def test_all_policies_constructible(self):

@@ -63,14 +63,6 @@ class TestNextFit:
         assert result.found
         assert result.block.size == 64
 
-    def test_reset(self):
-        free_list = make_list([64, 64])
-        policy = NextFit()
-        first = policy.select(free_list, 32)
-        policy.reset()
-        second = policy.select(free_list, 32)
-        assert first.block is second.block
-
 
 class TestBestFit:
     def test_selects_smallest_adequate(self):

@@ -11,6 +11,12 @@ space and tight two-level hierarchies, where dedicated pools spill and the
 general pool runs out of memory.  The batch kernel must serve every drawn
 configuration without falling back to a single replay.
 
+It also draws window boundaries: the batch engine's cumulative result at
+each (:meth:`BatchReplayEngine.run_windows`) must equal the event loop's
+replay of that prefix of the trace, apart from the ``__profile__`` section
+only the last result carries, and the last must equal the whole-trace
+result.
+
 The example count is capped so the test costs seconds; it runs with and
 without NumPy (the batch kernel's free-list scans have both paths).
 """
@@ -88,8 +94,9 @@ def result_bytes(result):
     point=points,
     scratchpad_size=st.integers(256, 64 * 1024),
     main_size=st.integers(2 * 1024, 4 * 1024 * 1024),
+    cuts=st.lists(st.integers(1, 2 * 600), max_size=6),
 )
-def test_batch_fast_and_event_loop_agree(trace, point, scratchpad_size, main_size):
+def test_batch_fast_and_event_loop_agree(trace, point, scratchpad_size, main_size, cuts):
     hierarchy = embedded_two_level(scratchpad_size=scratchpad_size, main_size=main_size)
     factory = AllocatorFactory(hierarchy)
     configuration = configuration_from_point(
@@ -110,3 +117,16 @@ def test_batch_fast_and_event_loop_agree(trace, point, scratchpad_size, main_siz
 
     assert result_bytes(batch) == result_bytes(loop)
     assert result_bytes(fast) == result_bytes(loop)
+
+    boundaries = sorted({cut for cut in cuts if cut < len(trace)} | {len(trace)})
+    windows = BatchReplayEngine(trace, factory, boundaries=boundaries).run_windows(
+        configuration
+    )
+    assert len(windows) == len(boundaries)
+    assert result_bytes(windows[-1]) == result_bytes(batch)
+    for stop, window in zip(boundaries[:-1], windows):
+        built = factory.build(configuration)
+        prefix = AllocationTrace(trace.events[:stop], name=trace.name)
+        loop, _ = replay_event_loop(Profiler(built.mapping), built.allocator, prefix, "drawn")
+        del loop.per_pool["__profile__"]
+        assert result_bytes(window) == result_bytes(loop), stop

@@ -448,19 +448,6 @@ class TestOracleRule:
         assert result_bytes(results[0]) == result_bytes(results[1])
         assert allocator_state(built.allocator) == allocator_state(oracle_allocator)
 
-    def test_reset_allocator_takes_the_event_loop(self):
-        """``Pool.reset`` leaves a fixed pool's free list in place, so a
-        reset allocator is not an unused one."""
-        from repro.allocator.pool import FixedSizePool, GeneralPool
-
-        allocator = ComposedAllocator(
-            [FixedSizePool("fixed", 32, strict=True), GeneralPool("general")]
-        )
-        assert kernel_can_replay(allocator)
-        allocator.malloc(32)
-        allocator.reset()
-        assert not kernel_can_replay(allocator)
-
     def test_streamed_fixed_pools_stay_on_the_kernel(self, monkeypatch):
         """Every segment of a stream replays its fixed pools on the kernel,
         not only the first: the evaluator benchmark's replay configuration,

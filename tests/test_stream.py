@@ -9,6 +9,7 @@ while producing exactly the artefacts the in-memory paths produce.
 
 import dataclasses
 import gzip
+import itertools
 import json
 import random
 
@@ -16,7 +17,7 @@ import pytest
 
 from repro.api import registry
 from repro.core.configuration import configuration_from_point
-from repro.core.exploration import LABEL_PREFIX, ExplorationEngine
+from repro.core.exploration import LABEL_PREFIX, ExplorationEngine, ExplorationSettings
 from repro.core.factory import AllocatorFactory
 from repro.core.reporting import exploration_report
 from repro.core.results import ResultDatabase
@@ -53,7 +54,7 @@ from repro.workloads import (
 )
 from repro.workloads.easyport import EasyportWorkload
 
-from benchmarks._oracle import event_loop
+from benchmarks._oracle import event_loop, replay_event_loop
 
 
 def result_bytes(result):
@@ -117,7 +118,7 @@ def oneshot(trace, point, hierarchy=None, oracle=False):
     return result, allocator
 
 
-def segmented(trace, point, offsets, hierarchy=None, snapshot_every=False, oracle=False):
+def segmented(trace, point, offsets, hierarchy=None, oracle=False):
     """Segment-by-segment replay; ``oracle=True`` takes the event loop."""
     built = build(trace, point, hierarchy)
     allocator = event_loop(built.allocator) if oracle else built.allocator
@@ -127,8 +128,6 @@ def segmented(trace, point, offsets, hierarchy=None, snapshot_every=False, oracl
     events = trace.events
     for start, stop in zip(offsets, offsets[1:]):
         session.replay_segment(compiler.feed(events[start:stop]))
-        if snapshot_every:
-            session.snapshot("under-test")
     assert compiler.fingerprint() == trace.fingerprint()
     return session.finish("under-test"), allocator
 
@@ -269,14 +268,6 @@ class TestSegmentedReplayIdentity:
         streamed, _ = segmented(
             trace, point, random_cuts(len(trace), random.Random(1)), oracle=True
         )
-        assert result_bytes(streamed) == result_bytes(reference)
-
-    def test_snapshots_do_not_perturb_the_replay(self):
-        trace = RequestBurstWorkload(bursts=12).generate(seed=2)
-        point = STANDARD_SPACES["smoke"]().sample(1, seed=5)[0]
-        reference, _ = oneshot(trace, point)
-        offsets = random_cuts(len(trace), random.Random(8))
-        streamed, _ = segmented(trace, point, offsets, snapshot_every=True)
         assert result_bytes(streamed) == result_bytes(reference)
 
 
@@ -604,40 +595,88 @@ class TestWindows:
         assert len(analysis) == len(WindowSpec(events=400).split(trace))
         assert analysis.configurations == len(database)
 
-    def test_window_fronts_match_batch_pareto(self):
-        """Each incremental window front equals a batch Pareto computed
-        over independently re-derived per-window vectors."""
-        from repro.core.pareto import pareto_front_indices
+    WINDOW_CASES = {
+        "events": lambda: (
+            SessionChurnWorkload(ticks=250).generate(seed=6),
+            WindowSpec(events=300),
+            None,
+            ExplorationSettings(),
+            "smoke",
+        ),
+        "time": lambda: (
+            SessionChurnWorkload(ticks=250).generate(seed=6),
+            WindowSpec(time=60),
+            None,
+            ExplorationSettings(),
+            "smoke",
+        ),
+        # Dedicated pools overflow the 2 KB scratchpad and spill; the
+        # general pool runs out of its 16 KB.
+        "spilling": lambda: (
+            EasyportWorkload(packets=120).generate(seed=7),
+            WindowSpec(events=150),
+            embedded_two_level(scratchpad_size=2048, main_size=16384),
+            ExplorationSettings(sample=6, sample_seed=2),
+            "default",
+        ),
+    }
 
-        trace = SessionChurnWorkload(ticks=250).generate(seed=6)
-        space = STANDARD_SPACES["smoke"]()
-        engine = ExplorationEngine(space, trace)
-        spec = WindowSpec(events=300)
+    @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+    def test_window_metrics_match_the_prefix_oracle(self, case, tmp_path):
+        """Every window's metrics equal the difference of event-loop
+        replays of the trace's prefixes, and each window front equals a
+        batch Pareto over those vectors."""
+        from repro.core.pareto import pareto_front_indices
+        from repro.core.store import ResultStore
+
+        trace, spec, hierarchy, settings, space_name = self.WINDOW_CASES[case]()
+        store = ResultStore(tmp_path / "store.jsonl")
+        engine = ExplorationEngine(
+            STANDARD_SPACES[space_name](),
+            trace,
+            hierarchy=hierarchy,
+            settings=settings,
+            store=store,
+        )
         _database, analysis = windowed_exploration(engine, spec)
-        chunks = spec.split(trace)
-        shadow = ExplorationEngine(space, trace)
+        stops = list(itertools.accumulate(len(chunk) for chunk in spec.split(trace)))
+        assert len(stops) == len(analysis) > 2
         per_config = {}
-        for index, point in shadow.enumerate_points():
-            label = f"{LABEL_PREFIX}{index:05d}"
-            configuration = shadow.configuration_for(point, label=label)
-            built = shadow.factory.build(configuration)
-            profiler = Profiler(built.mapping, energy_model=shadow.energy_model)
-            session = SegmentReplaySession(profiler, built.allocator, name=trace.name)
-            compiler = SegmentedTraceCompiler(trace.name)
+        spilled = out_of_memory = False
+        for index, point in engine.enumerate_points():
+            configuration = engine.configuration_for(
+                point, label=f"{LABEL_PREFIX}{index:05d}"
+            )
             previous = MetricSet()
             vectors = []
-            for chunk in chunks:
-                session.replay_segment(compiler.feed(chunk))
-                totals = session.snapshot(configuration.configuration_id).totals
+            for window, stop in enumerate(stops):
+                built = engine.factory.build(configuration)
+                prefix, _ = replay_event_loop(
+                    Profiler(built.mapping, energy_model=engine.energy_model),
+                    built.allocator,
+                    AllocationTrace(trace.events[:stop], name=trace.name),
+                    configuration.configuration_id,
+                )
+                totals = prefix.totals
                 delta = MetricSet(
                     accesses=totals.accesses - previous.accesses,
                     footprint=totals.footprint,
                     energy_nj=totals.energy_nj - previous.energy_nj,
                     cycles=totals.cycles - previous.cycles,
                 )
+                stored = store.get(f"{engine.fingerprint}:w{window}", point)
+                assert stored.metrics == delta, (case, index, window)
                 vectors.append(delta.values(analysis.metrics))
                 previous = totals
+            spilled = spilled or any(
+                prefix.per_pool[pool.name]["failed_allocs"]
+                for pool in configuration.pools[:-1]
+            )
+            out_of_memory = out_of_memory or prefix.per_pool["__profile__"]["oom_failures"]
             per_config[configuration.configuration_id] = vectors
+        store.close()
+        if case == "spilling":
+            assert spilled and out_of_memory
         labels = list(per_config)
         for window_index in range(len(analysis)):
             vectors = [per_config[label][window_index] for label in labels]
@@ -645,6 +684,23 @@ class TestWindows:
             assert set(analysis.front_labels(window_index)) == {
                 labels[i] for i in winners
             }
+
+    def test_windows_build_no_allocator(self, monkeypatch):
+        """Windowed exploration scores every point on the batch engine: it
+        never builds a real allocator."""
+        calls = []
+        build = AllocatorFactory.build
+
+        def counting_build(self, configuration):
+            calls.append(configuration.configuration_id)
+            return build(self, configuration)
+
+        monkeypatch.setattr(AllocatorFactory, "build", counting_build)
+        trace = DiurnalWorkload(ticks=150).generate(seed=5)
+        engine = ExplorationEngine(STANDARD_SPACES["smoke"](), trace)
+        database, analysis = windowed_exploration(engine, WindowSpec(events=200))
+        assert len(database) == 8 and len(analysis) > 1
+        assert calls == []
 
     def test_artifact_round_trip_and_report(self, tmp_path):
         trace = DiurnalWorkload(ticks=200).generate(seed=3)
