@@ -14,6 +14,7 @@ workers inherit the parent's object, spawned workers unpickle it.
 
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -215,6 +216,76 @@ class TestOOMSpill:
         space = STANDARD_SPACES["vtc"]()
         engine = self.check(trace, hierarchy, space.sample(12, seed=5), "v", legacy=False)
         assert self.spilling_groups(engine)
+
+
+class TestWindowBoundaries:
+    """The engine's window boundaries: what it accepts, and the configurations
+    it cannot window.  ``tests/test_kernel_oracle.py`` holds every window's
+    result to the event-loop replay of its prefix."""
+
+    def setup(self):
+        trace = EasyportWorkload(packets=40).generate(seed=1)
+        hierarchy = embedded_two_level()
+        point = STANDARD_SPACES["smoke"]().sample(1, seed=0)[0]
+        return trace, hierarchy, configuration_of(trace, point, hierarchy, "w")
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            pytest.param(lambda n: [], id="empty"),
+            pytest.param(lambda n: [n // 2], id="short-of-the-trace"),
+            pytest.param(lambda n: [n // 2, n + 1], id="past-the-trace"),
+            pytest.param(lambda n: [n // 2, n // 2, n], id="repeated"),
+            pytest.param(lambda n: [n // 2, n // 4, n], id="descending"),
+        ],
+    )
+    def test_boundaries_must_ascend_to_the_trace_length(self, cut):
+        trace, hierarchy, _configuration = self.setup()
+        with pytest.raises(ValueError, match="must ascend to the trace length"):
+            BatchReplayEngine(trace, AllocatorFactory(hierarchy), boundaries=cut(len(trace)))
+
+    def test_default_is_one_window_over_the_whole_trace(self):
+        trace, hierarchy, configuration = self.setup()
+        engine = BatchReplayEngine(trace, AllocatorFactory(hierarchy))
+        assert engine.boundaries == [len(trace)]
+        (whole,) = engine.run_windows(configuration)
+        assert "__profile__" in whole.per_pool
+        assert result_bytes(whole) == result_bytes(
+            single_replay(trace, configuration, hierarchy)
+        )
+
+    def test_only_the_last_window_carries_the_profile(self):
+        trace, hierarchy, configuration = self.setup()
+        boundaries = [len(trace) // 3, 2 * len(trace) // 3, len(trace)]
+        engine = BatchReplayEngine(trace, AllocatorFactory(hierarchy), boundaries=boundaries)
+        results = engine.run_windows(configuration)
+        assert [result.operation_count for result in results] == boundaries
+        assert ["__profile__" in result.per_pool for result in results] == [
+            False, False, True,
+        ]
+        assert result_bytes(results[-1]) == result_bytes(
+            single_replay(trace, configuration, hierarchy)
+        )
+        assert engine.fallback_configurations == 0
+
+    def test_refused_configuration_cannot_be_windowed(self):
+        """A configuration ``_plan`` refuses takes a single replay when there
+        is one window, and raises, naming it, when there are more."""
+        trace, hierarchy, configuration = self.setup()
+        configuration.pools = configuration.pools[:-1] + [
+            replace(configuration.pools[-1], kind="segregated")
+        ]
+        engine = BatchReplayEngine(trace, AllocatorFactory(hierarchy))
+        (whole,) = engine.run_windows(configuration)
+        assert engine.fallback_configurations == 1
+        assert result_bytes(whole) == result_bytes(
+            single_replay(trace, configuration, hierarchy, fast=False)
+        )
+        windowed = BatchReplayEngine(
+            trace, AllocatorFactory(hierarchy), boundaries=[len(trace) // 2, len(trace)]
+        )
+        with pytest.raises(ValueError, match=repr(configuration.configuration_id)):
+            windowed.run_windows(configuration)
 
 
 def refused_by_every_pool(trace, configuration, hierarchy):
