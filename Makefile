@@ -183,9 +183,11 @@ verify-cluster:
 # exhaustive and one heuristic strategy.  A document still carrying the
 # retired `"prune": false, "prune_fraction": 0.25` keys must run to the
 # same bytes, and `--set prune=true` must exit 2 without an artefact.  The
-# retired `hillclimb` and `surrogate` strategies run nsga2: given one of
-# their old params they exit 2 with one line and no artefact, and a
-# budget-only run records what nsga2 records.  CI runs the same flow.
+# retired `evolutionary`, `hillclimb` and `surrogate` strategies run nsga2:
+# a budget-only run of each records what nsga2 records; given one of their
+# old params, `hillclimb` and `surrogate` exit 2 with one line and no
+# artefact, while every old `evolutionary` param (population, offspring,
+# mutation_rate) is an nsga2 param and still runs.  CI runs the same flow.
 SPEC_DIR := .spec-demo
 verify-spec:
 	rm -rf $(SPEC_DIR) && mkdir -p $(SPEC_DIR)
@@ -232,15 +234,24 @@ verify-spec:
 	  --strategy nsga2 --budget 64 --out $(SPEC_DIR)/flags-nsga2.json
 	$(RUN) -m repro explore --workload uniform --space compact --seed 1 \
 	  --strategy hillclimb --budget 64 --out $(SPEC_DIR)/flags-hillclimb.json
+	$(RUN) -m repro explore --workload uniform --space compact --seed 1 \
+	  --strategy evolutionary --budget 64 --out $(SPEC_DIR)/flags-evolutionary.json
 	$(RUN) -m repro run $(SPEC_DIR)/experiment.json \
 	  --set workload.name=uniform --set space.name=compact --set seed=1 \
 	  --set strategy.name=surrogate --set strategy.params.budget=64 \
 	  --out $(SPEC_DIR)/run-surrogate.json
 	$(RUN) -c 'import json, sys; a, *rest = (json.load(open(p)) for p in sys.argv[1:]); assert all((b["name"], b["records"]) == (a["name"], a["records"]) for b in rest), "a retired strategy did not run nsga2"' \
-	  $(SPEC_DIR)/flags-nsga2.json $(SPEC_DIR)/flags-hillclimb.json $(SPEC_DIR)/run-surrogate.json
+	  $(SPEC_DIR)/flags-nsga2.json $(SPEC_DIR)/flags-hillclimb.json \
+	  $(SPEC_DIR)/flags-evolutionary.json $(SPEC_DIR)/run-surrogate.json
+	$(RUN) -m repro run $(SPEC_DIR)/experiment.json \
+	  --set workload.name=uniform --set space.name=compact --set seed=1 \
+	  --set strategy.name=evolutionary --set strategy.params.budget=64 \
+	  --set strategy.params.population=8 --out $(SPEC_DIR)/run-evolutionary.json
+	test -s $(SPEC_DIR)/run-evolutionary.json
 	@echo "spec-driven runs reproduce the flag invocations byte-identically"
 	@echo "a spec carrying the retired prune keys runs unchanged; prune=true exits 2"
-	@echo "the retired hillclimb and surrogate names run nsga2; their old params exit 2"
+	@echo "the retired evolutionary, hillclimb and surrogate names run nsga2"
+	@echo "old hillclimb and surrogate params exit 2; old evolutionary params still run"
 	rm -rf $(SPEC_DIR)
 
 .PHONY: verify bench bench-diff bench-eval bench-eval-full bench-store bench-store-full bench-stream bench-stream-full bench-search bench-search-full verify-docs verify-bench verify-shards verify-cluster verify-spec verify-store verify-stream

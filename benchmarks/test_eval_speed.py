@@ -479,13 +479,14 @@ def test_batched_spill_sweep(request):
 
 
 def test_serial_vs_pool_byte_identity_and_throughput(request, tmp_path):
-    """The pooled backend must stay byte-identical — and never slower.
+    """The pooled backend must stay byte-identical — and never start a pool
+    for a sweep below its ``serial_threshold``.
 
-    The smoke space is below the pool's ``serial_threshold``, so the
-    ``--jobs`` run takes the in-process fallback: the measured
-    ``pool_speedup`` records that a small sweep pays (approximately)
-    nothing for having requested workers — the 0.72x regression this
-    replaces came from spinning up a pool that IPC-dispatched 8 points.
+    The smoke space is below the threshold, so the ``--jobs`` run takes the
+    in-process fallback; the 0.72x regression this guards against came
+    from spinning up a pool that IPC-dispatched 8 points.  The fallback is
+    asserted directly (no pool was started); ``pool_speedup`` is recorded,
+    not gated, because it times two serial runs of the same short sweep.
     """
     trace = EasyportWorkload(packets=_packets(request) // 3).generate(seed=SEED)
     space = smoke_parameter_space()
@@ -503,6 +504,7 @@ def test_serial_vs_pool_byte_identity_and_throughput(request, tmp_path):
             start = time.perf_counter()
             pool_db = ExplorationEngine(space, trace, backend=backend).explore()
             pool_seconds = min(pool_seconds, time.perf_counter() - start)
+        pool_started = backend._pool is not None
     finally:
         backend.close()
 
@@ -531,6 +533,6 @@ def test_serial_vs_pool_byte_identity_and_throughput(request, tmp_path):
         ("quantity", "measured", "note"),
     )
     assert identical
-    # The fallback makes the pooled path the serial path plus a length
-    # check; anything below this floor would mean the threshold regressed.
-    assert serial_seconds / pool_seconds >= 0.8
+    # A regressed threshold would dispatch these points to worker processes.
+    assert space.size() <= backend.serial_threshold
+    assert not pool_started

@@ -26,7 +26,7 @@ them to a pluggable :class:`EvaluationBackend`:
 
 Independently of the backend, the engine memoises evaluations by the
 canonicalised parameter point, so heuristic searches that revisit points
-(evolutionary and NSGA-II populations) never re-profile the trace;
+(NSGA-II offspring that repeat a parent) never re-profile the trace;
 the cache hit/miss counters are surfaced on the produced databases.
 
 Two further layers make large sweeps practical (see :mod:`repro.core.store`):

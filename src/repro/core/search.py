@@ -2,14 +2,10 @@
 
 The paper explores the space exhaustively (its spaces are enumerable in a
 night of simulation).  For larger spaces, or when the designer wants a
-preview before committing to a full run, this module provides three
-classic design-space-exploration strategies that reuse the same
-point-evaluation machinery as the exhaustive engine:
-
-* :class:`RandomSearch`        — uniform sampling of the space.
-* :class:`EvolutionarySearch`  — a small (mu + lambda) evolutionary
-                                 algorithm with Pareto-rank selection, the
-                                 standard tool for multi-objective DSE.
+preview before committing to a full run, this module provides
+:class:`SearchStrategy`, the base of every search strategy, which reuses
+the point-evaluation machinery of the exhaustive engine, and
+:class:`RandomSearch`, uniform sampling of the space.
 
 All strategies return a :class:`ResultDatabase`, so the downstream Pareto /
 trade-off / reporting code is identical to the exhaustive path.
@@ -33,9 +29,9 @@ points, :meth:`~SearchStrategy._members` lists everything evaluated so far,
 a population before selection, and :attr:`~SearchStrategy._searching` says
 whether to go on (budget left, not stalled).
 
-The modern multi-objective portfolio (NSGA-II and the TPE sampler) lives in
-:mod:`repro.core.strategies` and builds on the same :class:`SearchStrategy`
-base.
+The multi-objective portfolio (NSGA-II, the one genetic algorithm, and
+the TPE sampler) lives in :mod:`repro.core.strategies` and builds on the
+same :class:`SearchStrategy` base.
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ from dataclasses import dataclass
 
 from ..profiling.metrics import metric_keys
 from .exploration import ExplorationEngine
-from .pareto import pareto_rank
 from .results import ExplorationRecord, ResultDatabase, ResultSink
 
 #: Default evaluation budget of a heuristic search.  This is the single
@@ -194,22 +189,12 @@ class SearchStrategy:
         self._stalled = self._stalled + 1 if self.evaluations_used == used_before else 0
         return list(zip(points, records))
 
-    def _seed(
-        self, size: int, database: ResultDatabase, distinct: bool = True
-    ) -> list[tuple[dict, ExplorationRecord]]:
+    def _seed(self, size: int, database: ResultDatabase) -> None:
         """Evaluate uniformly random points until ``size`` distinct points
-        have been evaluated — or, with ``distinct=False``, until ``size``
-        seeds have, duplicates included.  Redraws are bounded by the stall
-        counter.  Returns every evaluated ``(point, record)`` seed pair in
-        order."""
-        seeded: list[tuple[dict, ExplorationRecord]] = []
-        while self._searching:
-            have = len(self._evaluated) if distinct else len(seeded)
-            if have >= size:
-                break
-            seeds = [self._random_point() for _ in range(size - have)]
-            seeded.extend(self._step(seeds, database))
-        return seeded
+        have been evaluated.  Redraws are bounded by the stall counter."""
+        while self._searching and self.evaluations_used < size:
+            seeds = [self._random_point() for _ in range(size - self.evaluations_used)]
+            self._step(seeds, database)
 
     def _random_point(self) -> dict:
         return self.engine.space.point_at(self.rng.randrange(self.engine.space.size()))
@@ -267,68 +252,3 @@ class RandomSearch(SearchStrategy):
         total = min(self.budget.evaluations, self.engine.space.size())
         points = self.engine.space.sample(total, seed=self.budget.seed)
         self._evaluate_batch(points, database)
-
-
-class EvolutionarySearch(SearchStrategy):
-    """(mu + lambda) evolutionary search with Pareto-rank selection."""
-
-    name = "evolutionary"
-
-    def __init__(
-        self,
-        engine: ExplorationEngine,
-        budget: SearchBudget | None = None,
-        metrics: list[str] | None = None,
-        population: int = 16,
-        offspring: int = 16,
-        mutation_rate: float = 0.3,
-    ) -> None:
-        super().__init__(engine, budget, metrics)
-        if population <= 1 or offspring <= 0:
-            raise ValueError("population must be > 1 and offspring > 0")
-        if not 0.0 <= mutation_rate <= 1.0:
-            raise ValueError(f"mutation_rate must be in [0, 1], got {mutation_rate}")
-        self.population_size = population
-        self.offspring_size = offspring
-        self.mutation_rate = mutation_rate
-
-    def _failure_order(self, records: list[ExplorationRecord]) -> list[ExplorationRecord]:
-        """Infeasible records, least failed allocations first.
-
-        An infeasible replay stopped at its first failed allocation, so its
-        metric vector looks cheap; selection therefore ranks these records
-        behind every feasible one, in this order."""
-        return sorted(
-            (record for record in records if not record.feasible),
-            key=lambda record: (record.oom_failures, record.metric_vector(self.metrics)),
-        )
-
-    def _select(self, records: list[ExplorationRecord]) -> list[ExplorationRecord]:
-        """Keep the best ``population_size`` records: feasible ones by Pareto
-        rank, then by the first metric as a tiebreaker; infeasible ones
-        after them, in :meth:`_failure_order`."""
-        feasible = [record for record in records if record.feasible]
-        vectors = [record.metric_vector(self.metrics) for record in feasible]
-        ranks = pareto_rank(vectors)
-        order = sorted(range(len(feasible)), key=lambda i: (ranks[i], vectors[i][0]))
-        ranked = [feasible[i] for i in order] + self._failure_order(records)
-        return ranked[: self.population_size]
-
-    def _search(self, database: ResultDatabase) -> None:
-        # The population is a multiset: a seed drawn twice is kept twice.
-        population = self._seed(self.population_size, database, distinct=False)
-        while self._searching and len(population) >= 2:
-            child_points = []
-            for _ in range(self.offspring_size):
-                first, second = self.rng.sample(population, 2)
-                child_point = self._crossover(first[0], second[0])
-                if self.rng.random() < self.mutation_rate:
-                    child_point = self._mutate(child_point)
-                child_points.append(child_point)
-            combined = self._merge_offspring(
-                population, self._step(child_points, database)
-            )
-            selected_ids = {id(record) for record in self._select([r for _, r in combined])}
-            population = [
-                (point, record) for point, record in combined if id(record) in selected_ids
-            ][: self.population_size]

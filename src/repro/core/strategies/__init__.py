@@ -13,9 +13,10 @@ Both are registered in :mod:`repro.api.registry` (as ``nsga2`` and
 ``tpe``), so they are reachable from experiment specs, ``dmexplore explore
 --strategy`` and the exploration service without further wiring, and they
 share the base-class determinism contract: fixed-seed runs are
-byte-identical across evaluation backends.  The retired ``surrogate`` and
-``hillclimb`` names run :class:`NSGA2Search`, which beat both on seconds,
-front hypervolume and front recall on every measured setup (see
+byte-identical across evaluation backends.  :class:`NSGA2Search` is the
+one genetic algorithm: the retired ``evolutionary``, ``surrogate`` and
+``hillclimb`` names run it, because it matched or beat each of them on
+front hypervolume at no more seconds on every measured setup (see
 ``docs/search.md``).
 
 :mod:`~repro.core.strategies.forest` (``RandomForest``, ``RegressionTree``)

@@ -1,9 +1,10 @@
 """NSGA-II: fast non-dominated sorting with crowding-distance selection.
 
 The reference algorithm for multi-objective evolutionary search (Deb et
-al., 2002), and the workhorse of allocator design-space exploration in the
-parallel-EA DMM literature.  Three ingredients distinguish it from the
-plain :class:`~repro.core.search.EvolutionarySearch`:
+al., 2002), the workhorse of allocator design-space exploration in the
+parallel-EA DMM literature, and the repository's one genetic algorithm
+(the registry name ``evolutionary`` runs it).  Three ingredients make it
+more than a (mu + lambda) loop with Pareto-rank selection:
 
 * :func:`~repro.core.pareto.fast_non_dominated_sort` layers the population
   into fronts,
@@ -11,6 +12,11 @@ plain :class:`~repro.core.search.EvolutionarySearch`:
   they are, so selection pressure spreads the population along the whole
   front instead of clumping around one region, and
 * binary-tournament mating selection on the (rank, crowding) partial order.
+
+The population and offspring sizes follow the budget unless given: a
+sixth of it, at least 8 and at most 16.  A fixed 16 spends a quarter of a
+65-evaluation budget on random seeds; a sixth of a large budget leaves
+too few generations to converge (``docs/search.md`` has the runs).
 
 Every generation is evaluated as one
 :meth:`~repro.core.exploration.ExplorationEngine.evaluate_points` batch, so
@@ -25,9 +31,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from ..exploration import ExplorationEngine
 from ..pareto import fast_non_dominated_sort
 from ..results import ExplorationRecord, ResultDatabase
-from ..search import EvolutionarySearch
+from ..search import SearchBudget, SearchStrategy
 
 #: Crowding distance assigned to the boundary members of every front: they
 #: are the extremes of the front and must always win crowding comparisons.
@@ -71,12 +78,44 @@ def crowding_distance(
     return distances
 
 
-class NSGA2Search(EvolutionarySearch):
+class NSGA2Search(SearchStrategy):
     """NSGA-II: non-dominated sorting + crowding-distance selection."""
 
     name = "nsga2"
 
+    def __init__(
+        self,
+        engine: ExplorationEngine,
+        budget: SearchBudget | None = None,
+        metrics: list[str] | None = None,
+        population: int | None = None,
+        offspring: int | None = None,
+        mutation_rate: float = 0.3,
+    ) -> None:
+        super().__init__(engine, budget, metrics)
+        size = min(16, max(8, self.budget.evaluations // 6))
+        population = size if population is None else population
+        offspring = size if offspring is None else offspring
+        if population <= 1 or offspring <= 0:
+            raise ValueError("population must be > 1 and offspring > 0")
+        if not 0.0 <= mutation_rate <= 1.0:
+            raise ValueError(f"mutation_rate must be in [0, 1], got {mutation_rate}")
+        self.population_size = population
+        self.offspring_size = offspring
+        self.mutation_rate = mutation_rate
+
     # -- selection machinery ------------------------------------------------
+
+    def _failure_order(self, records: list[ExplorationRecord]) -> list[ExplorationRecord]:
+        """Infeasible records, least failed allocations first.
+
+        An infeasible replay stopped at its first failed allocation, so its
+        metric vector looks cheap; selection therefore ranks these records
+        behind every feasible one, in this order."""
+        return sorted(
+            (record for record in records if not record.feasible),
+            key=lambda record: (record.oom_failures, record.metric_vector(self.metrics)),
+        )
 
     def _order(
         self, members: list[tuple[dict, ExplorationRecord]]
@@ -87,7 +126,7 @@ class NSGA2Search(EvolutionarySearch):
         over the chosen metrics, the more isolated member (larger crowding
         distance) first and the index breaking exact ties; infeasible
         members always rank behind every feasible layer, in
-        :meth:`~repro.core.search.EvolutionarySearch._failure_order`.
+        :meth:`_failure_order`.
         """
         feasible = [m for m in members if m[1].feasible]
         vectors = [record.metric_vector(self.metrics) for _, record in feasible]

@@ -301,10 +301,11 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("retired", ["surrogate", "hillclimb"])
+    @pytest.mark.parametrize("retired", ["surrogate", "hillclimb", "evolutionary"])
     def test_retired_strategy_flag_runs_nsga2(self, tmp_path, capsys, retired):
-        """``--strategy hillclimb`` (or ``surrogate``) runs NSGA-II: the same
-        records, under the name of the strategy that ran."""
+        """``--strategy hillclimb`` (or ``surrogate``, or ``evolutionary``)
+        runs NSGA-II: the same records, under the name of the strategy that
+        ran."""
         artefacts = {}
         for name in (retired, "nsga2"):
             out = tmp_path / f"{name}.json"
@@ -315,7 +316,9 @@ class TestRunCommand:
         assert artefacts[retired]["name"] == artefacts["nsga2"]["name"]
         assert artefacts["nsga2"]["name"].endswith("-nsga2")
         assert artefacts[retired]["records"] == artefacts["nsga2"]["records"]
-        assert len(artefacts["nsga2"]["records"]) == 64
+        # A population of 10 (the budget-64 default) converges on this
+        # 128-point space and stalls a few evaluations short of the budget.
+        assert 48 <= len(artefacts["nsga2"]["records"]) <= 64
 
     def test_explore_prune_flag_is_refused(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -531,16 +534,17 @@ class TestListCommand:
         assert main(["list", "strategies"]) == 0
         output = capsys.readouterr().out
         # Every SearchStrategy-backed entry advertises its tunable params
-        # with defaults; the budget default comes from the registry entry.
-        assert "params: budget=200, population=16, offspring=16" in output
+        # with defaults; the budget default comes from the registry entry,
+        # and NSGA-II sizes an unset population from the budget.
+        assert "params: budget=200, population=None, offspring=None" in output
         assert "params: budget=200, startup=16, batch=8" in output
         # The retired names say so, with the NSGA-II params they run with.
         lines = output.splitlines()
-        for retired in ("hillclimb", "surrogate"):
+        for retired in ("evolutionary", "hillclimb", "surrogate"):
             [at] = [i for i, line in enumerate(lines) if line.split()[:1] == [retired]]
             assert lines[at].endswith("retired; runs nsga2")
             assert lines[at + 1].strip() == (
-                "params: budget=200, population=16, offspring=16, mutation_rate=0.3"
+                "params: budget=200, population=None, offspring=None, mutation_rate=0.3"
             )
         # The exhaustive runner has no budget and must stay signature-free.
         exhaustive_block = output.split("exhaustive", 1)[1].split("hillclimb")[0]

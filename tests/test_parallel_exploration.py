@@ -18,11 +18,7 @@ from repro.core.exploration import (
     explore,
     make_backend,
 )
-from repro.core.search import (
-    EvolutionarySearch,
-    RandomSearch,
-    SearchBudget,
-)
+from repro.core.search import RandomSearch, SearchBudget
 from repro.core.space import compact_parameter_space, smoke_parameter_space
 from repro.core.strategies import NSGA2Search
 from repro.workloads.easyport import EasyportWorkload
@@ -117,11 +113,8 @@ class TestSerialParallelEquivalence:
         [
             lambda engine: RandomSearch(engine, SearchBudget(evaluations=12, seed=7)),
             lambda engine: NSGA2Search(engine, SearchBudget(evaluations=12, seed=7)),
-            lambda engine: EvolutionarySearch(
-                engine, SearchBudget(evaluations=12, seed=7), population=4, offspring=4
-            ),
         ],
-        ids=["random", "nsga2", "evolutionary"],
+        ids=["random", "nsga2"],
     )
     def test_search_trajectories_identical(
         self, small_trace, tmp_path, pool_backend, strategy_factory
@@ -201,14 +194,14 @@ class TestMemoisationCache:
 
     def test_cache_hits_honour_the_submitted_label(self, small_trace):
         """A later caller must not record a point under the first caller's
-        label (e.g. an evolutionary record tagged ``nsga2_...``)."""
+        label (e.g. a random-search record tagged ``nsga2_...``)."""
         engine = ExplorationEngine(smoke_parameter_space(), small_trace)
         point = engine.space.point_at(0)
         first = engine.evaluate_point(point, "nsga2_000000")
-        second = engine.evaluate_point(point, "evolutionary_000000")
+        second = engine.evaluate_point(point, "random_000000")
         unlabelled = engine.evaluate_point(point)
         assert first.configuration_id == "nsga2_000000"
-        assert second.configuration_id == "evolutionary_000000"
+        assert second.configuration_id == "random_000000"
         assert unlabelled.configuration_id == "nsga2_000000"  # cached label kept
         assert first.metrics == second.metrics
 
@@ -334,7 +327,7 @@ class TestRegistryStrategiesBackendIdentity:
         "exhaustive": {},
         "random": {},
         "hillclimb": {},
-        "evolutionary": {"population": 4, "offspring": 4},
+        "evolutionary": {},
         "nsga2": {"population": 4, "offspring": 4},
         "tpe": {"startup": 4, "batch": 4, "candidates": 16},
         "surrogate": {},

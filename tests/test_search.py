@@ -1,4 +1,5 @@
-"""Unit tests for the heuristic search strategies (repro.core.search)."""
+"""Unit tests for the heuristic search strategies (repro.core.search) and
+the generational loop NSGA-II runs on it."""
 
 import pytest
 
@@ -6,16 +7,13 @@ from repro.core.configuration import AllocatorConfiguration, PoolSpec
 from repro.core.exploration import ExplorationEngine
 from repro.core.pareto import dominates
 from repro.core.results import ExplorationRecord
-from repro.core.search import (
-    EvolutionarySearch,
-    RandomSearch,
-    SearchBudget,
-)
+from repro.core.search import RandomSearch, SearchBudget
 from repro.core.space import (
     compact_parameter_space,
     smoke_parameter_space,
     vtc_parameter_space,
 )
+from repro.core.strategies import NSGA2Search
 from repro.profiling.metrics import MetricSet
 from repro.workloads.easyport import EasyportWorkload
 from repro.workloads.vtc import VTCWorkload
@@ -56,9 +54,9 @@ class TestRandomSearch:
         assert len(database) == engine.space.size()
 
 
-class TestEvolutionarySearch:
+class TestNSGA2Search:
     def test_respects_budget(self, engine):
-        search = EvolutionarySearch(
+        search = NSGA2Search(
             engine, SearchBudget(evaluations=20, seed=5), population=6, offspring=6
         )
         database = search.run()
@@ -67,21 +65,21 @@ class TestEvolutionarySearch:
     def test_front_quality_not_worse_than_random(self, engine):
         budget = 24
         random_db = RandomSearch(engine, SearchBudget(evaluations=budget, seed=6)).run()
-        evo_db = EvolutionarySearch(
+        nsga2_db = NSGA2Search(
             engine, SearchBudget(evaluations=budget, seed=6), population=6, offspring=6
         ).run()
-        # The evolutionary front must not be strictly dominated by the random
+        # The NSGA-II front must not be strictly dominated by the random
         # front on the accesses/footprint plane.
-        evo_front = evo_db.pareto_records(["accesses", "footprint"])
+        nsga2_front = nsga2_db.pareto_records(["accesses", "footprint"])
         random_front = random_db.pareto_records(["accesses", "footprint"])
-        assert evo_front
+        assert nsga2_front
         fully_dominated = all(
             any(
                 dominates(r.metric_vector(["accesses", "footprint"]),
                           e.metric_vector(["accesses", "footprint"]))
                 for r in random_front
             )
-            for e in evo_front
+            for e in nsga2_front
         )
         assert not fully_dominated
 
@@ -91,12 +89,12 @@ class TestEvolutionarySearch:
         far larger than the budget evaluates exactly the budget."""
         trace = VTCWorkload(image_width=24, image_height=24).generate(seed=7)
         engine = ExplorationEngine(vtc_parameter_space(), trace)
-        search = EvolutionarySearch(engine, SearchBudget(evaluations=160, seed=seed))
+        search = NSGA2Search(engine, SearchBudget(evaluations=160, seed=seed))
         database = search.run()
         assert search.evaluations_used == len(database) == 160
 
     def test_offspring_merge_skips_points_already_in_the_population(self, engine):
-        search = EvolutionarySearch(engine, population=4, offspring=4)
+        search = NSGA2Search(engine, population=4, offspring=4)
         points = [engine.space.point_at(index) for index in (0, 1, 2)]
         records = engine.evaluate_points([(point, "") for point in points])
         population = [(points[0], records[0]), (points[1], records[1])]
@@ -109,11 +107,29 @@ class TestEvolutionarySearch:
 
     def test_invalid_population(self, engine):
         with pytest.raises(ValueError):
-            EvolutionarySearch(engine, population=1, offspring=0)
+            NSGA2Search(engine, population=1, offspring=0)
+        with pytest.raises(ValueError):
+            NSGA2Search(engine, SearchBudget(evaluations=65), offspring=0)
         with pytest.raises(ValueError, match="mutation_rate"):
-            EvolutionarySearch(engine, mutation_rate=5)
+            NSGA2Search(engine, mutation_rate=5)
         with pytest.raises(ValueError, match="mutation_rate"):
-            EvolutionarySearch(engine, mutation_rate=-0.1)
+            NSGA2Search(engine, mutation_rate=-0.1)
+
+    @pytest.mark.parametrize(
+        "evaluations, size", [(12, 8), (48, 8), (65, 10), (96, 16), (200, 16), (324, 16)]
+    )
+    def test_population_follows_the_budget(self, engine, evaluations, size):
+        """A sixth of the budget, kept within [8, 16]: a fixed 16 would spend
+        a quarter of a 65-evaluation budget on random seeds."""
+        search = NSGA2Search(engine, SearchBudget(evaluations=evaluations))
+        assert search.population_size == search.offspring_size == size
+
+    def test_explicit_sizes_win_over_the_budget_rule(self, engine):
+        budget = SearchBudget(evaluations=65)
+        search = NSGA2Search(engine, budget, population=16)
+        assert (search.population_size, search.offspring_size) == (16, 10)
+        search = NSGA2Search(engine, budget, population=6, offspring=30)
+        assert (search.population_size, search.offspring_size) == (6, 30)
 
     def test_selection_ranks_infeasible_records_last(self, engine):
         # An OOM replay stopped at its first failed allocation, so its
@@ -132,9 +148,10 @@ class TestEvolutionarySearch:
 
         feasible = [record("a", 30), record("b", 20), record("c", 40)]
         failed = [record("x", 5, oom=3), record("y", 1, oom=1)]
-        search = EvolutionarySearch(engine, population=4, offspring=2)
-        selected = search._select([failed[0], *feasible, failed[1]])
-        assert [r.configuration_id for r in selected] == ["b", "a", "c", "y"]
+        search = NSGA2Search(engine, population=4, offspring=2)
+        members = [(r.parameters, r) for r in (failed[0], *feasible, failed[1])]
+        ordered = search._order(members)
+        assert [r.configuration_id for _, r, _, _ in ordered] == ["b", "a", "c", "y", "x"]
 
 
 class TestSearchInternals:

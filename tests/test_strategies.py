@@ -321,7 +321,8 @@ class TestArtefactCounters:
         [counters] = [
             line for line in sink.status_lines() if line.startswith("counters: ")
         ]
-        assert counters == f"counters: memo 0/{engine.cache_misses}"
+        lookups = engine.cache_hits + engine.cache_misses
+        assert counters == f"counters: memo {engine.cache_hits}/{lookups}"
         report = exploration_report(database)
         assert "prun" not in report.lower()
         assert "skips" not in report.lower()
@@ -350,27 +351,29 @@ class TestArtefactCounters:
 
 
 class TestRetiredNames:
-    """``surrogate`` and ``hillclimb`` are registry names for NSGA-II."""
+    """``evolutionary``, ``surrogate`` and ``hillclimb`` are registry names
+    for NSGA-II."""
 
     #: ``spec_hash`` of the budget-only specs below, as written before the
-    #: two strategies were retired.
+    #: three strategies were retired.
     SPEC_HASHES = {
+        "evolutionary": "35329ec2dbe664bc8e0e7c24ca038e079d01bbd80a8a05c13b9bbcd1b1cfb018",
         "surrogate": "1a5022f3307f8a884e58d7f1dc8ad2477d321463b31a2cd611144a8d30e25070",
         "hillclimb": "562aa536273218dc9d82faf119461cbf12775787d5bbec6731b8af0aed447e76",
     }
 
     @staticmethod
-    def spec(name, budget=64, space="smoke"):
+    def spec(name, budget=64, space="smoke", **params):
         from repro.api import ComponentRef, ExperimentSpec
 
         return ExperimentSpec(
             workload=ComponentRef("uniform", {"operations": 300}),
             space=ComponentRef(space),
-            strategy=ComponentRef(name, {"budget": budget}),
+            strategy=ComponentRef(name, {"budget": budget, **params}),
             seed=1,
         )
 
-    @pytest.mark.parametrize("name", ["surrogate", "hillclimb"])
+    @pytest.mark.parametrize("name", sorted(SPEC_HASHES))
     def test_registry_entry_runs_nsga2(self, name):
         from repro.api import registry
         from repro.core.search import DEFAULT_SEARCH_BUDGET
@@ -380,11 +383,11 @@ class TestRetiredNames:
         assert dict(entry.defaults) == {"budget": DEFAULT_SEARCH_BUDGET}
         assert entry.description == "retired; runs nsga2"
 
-    @pytest.mark.parametrize("name", ["surrogate", "hillclimb"])
+    @pytest.mark.parametrize("name", sorted(SPEC_HASHES))
     def test_budget_only_spec_keeps_its_hash(self, name):
         assert self.spec(name).spec_hash() == self.SPEC_HASHES[name]
 
-    @pytest.mark.parametrize("name", ["surrogate", "hillclimb"])
+    @pytest.mark.parametrize("name", sorted(SPEC_HASHES))
     def test_budget_only_run_equals_the_nsga2_run(self, name):
         from repro.api import Experiment
 
@@ -397,3 +400,16 @@ class TestRetiredNames:
         nsga2_name, nsga2 = records("nsga2")
         assert name_run == nsga2_name and name_run.endswith("-nsga2")
         assert retired == nsga2 and len(retired) == 15
+
+    def test_evolutionary_params_are_nsga2_params(self):
+        """Every param ``evolutionary`` took is an NSGA-II param, so an old
+        spec that sets one still runs, exactly as ``nsga2`` with it."""
+        from repro.api import Experiment
+
+        params = {"population": 6, "offspring": 4, "mutation_rate": 0.5}
+
+        def records(strategy):
+            spec = self.spec(strategy, budget=20, space="compact", **params)
+            return [record.as_dict() for record in Experiment(spec).run().database]
+
+        assert records("evolutionary") == records("nsga2")
