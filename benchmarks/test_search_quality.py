@@ -127,9 +127,11 @@ def strategy_params(name: str, budget: int) -> dict:
 
     The defaults target the default 200-evaluation budget; at a 1 % budget
     of a 6 480-point space (65 evaluations) a 16-member startup phase
-    would eat a quarter of the budget, so TPE's startup scales with it.
-    NSGA-II sizes its own population from the budget.
+    would eat a quarter of the budget, so population/startup scale with it.
     """
+    if name == "nsga2":
+        size = max(8, budget // 6)
+        return {"population": size, "offspring": size}
     if name == "tpe":
         return {"startup": max(8, budget // 6), "batch": 8, "candidates": 96}
     return {}

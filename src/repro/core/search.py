@@ -24,10 +24,9 @@ The generation loop every generational strategy shares lives once, in
 :meth:`~SearchStrategy._step`, which trims the generation to the budget,
 evaluates it and counts a stall when it adds no new evaluation;
 :meth:`~SearchStrategy._seed` does the same for uniform random starting
-points, :meth:`~SearchStrategy._members` lists everything evaluated so far,
-:meth:`~SearchStrategy._merge_offspring` adds a generation's new points to
-a population before selection, and :attr:`~SearchStrategy._searching` says
-whether to go on (budget left, not stalled).
+points, :meth:`~SearchStrategy._members` lists everything evaluated so far, and
+:attr:`~SearchStrategy._searching` says whether to go on (budget left, not
+stalled).
 
 The multi-objective portfolio (NSGA-II, the one genetic algorithm, and
 the TPE sampler) lives in :mod:`repro.core.strategies` and builds on the
@@ -157,25 +156,6 @@ class SearchStrategy:
         evaluation order."""
         return [(record.parameters, record) for record in self._evaluated.values()]
 
-    def _merge_offspring(
-        self,
-        population: list[tuple[dict, ExplorationRecord]],
-        offspring: list[tuple[dict, ExplorationRecord]],
-    ) -> list[tuple[dict, ExplorationRecord]]:
-        """``population`` followed by each offspring point not already in it.
-
-        Points are compared by space index: the engine answers a memoised
-        repeat with a distinct copy of one record, so without this a
-        selection could fill the population with copies of one point."""
-        combined = list(population)
-        seen = {self.engine.space.index_of(point) for point, _ in population}
-        for point, record in offspring:
-            index = self.engine.space.index_of(point)
-            if index not in seen:
-                seen.add(index)
-                combined.append((point, record))
-        return combined
-
     def _step(
         self, points: list[dict], database: ResultDatabase
     ) -> list[tuple[dict, ExplorationRecord]]:
@@ -198,23 +178,6 @@ class SearchStrategy:
 
     def _random_point(self) -> dict:
         return self.engine.space.point_at(self.rng.randrange(self.engine.space.size()))
-
-    def _mutate(self, point: dict) -> dict:
-        """Change one randomly chosen parameter to a different value."""
-        mutated = dict(point)
-        parameter = self.rng.choice(list(self.engine.space))
-        alternatives = [value for value in parameter.values if value != point[parameter.name]]
-        if alternatives:
-            mutated[parameter.name] = self.rng.choice(alternatives)
-        return mutated
-
-    def _crossover(self, first: dict, second: dict) -> dict:
-        """Uniform crossover of two points."""
-        child = {}
-        for parameter in self.engine.space:
-            source = first if self.rng.random() < 0.5 else second
-            child[parameter.name] = source[parameter.name]
-        return child
 
     def run(self, sink: ResultSink | None = None) -> ResultDatabase:
         """Template method: snapshot cache/store counters around :meth:`_search`.

@@ -13,11 +13,6 @@ more than a (mu + lambda) loop with Pareto-rank selection:
   front instead of clumping around one region, and
 * binary-tournament mating selection on the (rank, crowding) partial order.
 
-The population and offspring sizes follow the budget unless given: a
-sixth of it, at least 8 and at most 16.  A fixed 16 spends a quarter of a
-65-evaluation budget on random seeds; a sixth of a large budget leaves
-too few generations to converge (``docs/search.md`` has the runs).
-
 Every generation is evaluated as one
 :meth:`~repro.core.exploration.ExplorationEngine.evaluate_points` batch, so
 the :class:`~repro.profiling.batch.BatchReplayEngine` scores the whole
@@ -88,14 +83,11 @@ class NSGA2Search(SearchStrategy):
         engine: ExplorationEngine,
         budget: SearchBudget | None = None,
         metrics: list[str] | None = None,
-        population: int | None = None,
-        offspring: int | None = None,
+        population: int = 16,
+        offspring: int = 16,
         mutation_rate: float = 0.3,
     ) -> None:
         super().__init__(engine, budget, metrics)
-        size = min(16, max(8, self.budget.evaluations // 6))
-        population = size if population is None else population
-        offspring = size if offspring is None else offspring
         if population <= 1 or offspring <= 0:
             raise ValueError("population must be > 1 and offspring > 0")
         if not 0.0 <= mutation_rate <= 1.0:
@@ -106,17 +98,6 @@ class NSGA2Search(SearchStrategy):
 
     # -- selection machinery ------------------------------------------------
 
-    def _failure_order(self, records: list[ExplorationRecord]) -> list[ExplorationRecord]:
-        """Infeasible records, least failed allocations first.
-
-        An infeasible replay stopped at its first failed allocation, so its
-        metric vector looks cheap; selection therefore ranks these records
-        behind every feasible one, in this order."""
-        return sorted(
-            (record for record in records if not record.feasible),
-            key=lambda record: (record.oom_failures, record.metric_vector(self.metrics)),
-        )
-
     def _order(
         self, members: list[tuple[dict, ExplorationRecord]]
     ) -> list[tuple[dict, ExplorationRecord, int, float]]:
@@ -125,8 +106,10 @@ class NSGA2Search(SearchStrategy):
         Constrained domination: feasible members are ordered layer by layer
         over the chosen metrics, the more isolated member (larger crowding
         distance) first and the index breaking exact ties; infeasible
-        members always rank behind every feasible layer, in
-        :meth:`_failure_order`.
+        members always rank behind every feasible layer, fewest failed
+        allocations first.  An infeasible replay stopped at its first failed
+        allocation, so its metric vector looks cheap and must not compete
+        with the feasible ones.
         """
         feasible = [m for m in members if m[1].feasible]
         vectors = [record.metric_vector(self.metrics) for _, record in feasible]
@@ -136,7 +119,10 @@ class NSGA2Search(SearchStrategy):
             for index in sorted(front, key=lambda i: (-distances[i], i)):
                 annotated.append((*feasible[index], layer, distances[index]))
         layers = annotated[-1][2] + 1 if annotated else 0
-        failed = self._failure_order([record for _, record in members])
+        failed = sorted(
+            (record for _, record in members if not record.feasible),
+            key=lambda record: (record.oom_failures, record.metric_vector(self.metrics)),
+        )
         annotated.extend(
             (record.parameters, record, layers + position, 0.0)
             for position, record in enumerate(failed)
@@ -156,6 +142,44 @@ class NSGA2Search(SearchStrategy):
         else:
             winner = a
         return winner[0]
+
+    # -- variation ----------------------------------------------------------
+
+    def _crossover(self, first: dict, second: dict) -> dict:
+        """Uniform crossover of two points."""
+        child = {}
+        for parameter in self.engine.space:
+            source = first if self.rng.random() < 0.5 else second
+            child[parameter.name] = source[parameter.name]
+        return child
+
+    def _mutate(self, point: dict) -> dict:
+        """Change one randomly chosen parameter to a different value."""
+        mutated = dict(point)
+        parameter = self.rng.choice(list(self.engine.space))
+        alternatives = [value for value in parameter.values if value != point[parameter.name]]
+        if alternatives:
+            mutated[parameter.name] = self.rng.choice(alternatives)
+        return mutated
+
+    def _merge_offspring(
+        self,
+        population: list[tuple[dict, ExplorationRecord]],
+        offspring: list[tuple[dict, ExplorationRecord]],
+    ) -> list[tuple[dict, ExplorationRecord]]:
+        """``population`` followed by each offspring point not already in it.
+
+        Points are compared by space index: the engine answers a memoised
+        repeat with a distinct copy of one record, so without this a
+        selection could fill the population with copies of one point."""
+        combined = list(population)
+        seen = {self.engine.space.index_of(point) for point, _ in population}
+        for point, record in offspring:
+            index = self.engine.space.index_of(point)
+            if index not in seen:
+                seen.add(index)
+                combined.append((point, record))
+        return combined
 
     # -- the search ---------------------------------------------------------
 

@@ -316,9 +316,7 @@ class TestRunCommand:
         assert artefacts[retired]["name"] == artefacts["nsga2"]["name"]
         assert artefacts["nsga2"]["name"].endswith("-nsga2")
         assert artefacts[retired]["records"] == artefacts["nsga2"]["records"]
-        # A population of 10 (the budget-64 default) converges on this
-        # 128-point space and stalls a few evaluations short of the budget.
-        assert 48 <= len(artefacts["nsga2"]["records"]) <= 64
+        assert len(artefacts["nsga2"]["records"]) == 64
 
     def test_explore_prune_flag_is_refused(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -534,9 +532,8 @@ class TestListCommand:
         assert main(["list", "strategies"]) == 0
         output = capsys.readouterr().out
         # Every SearchStrategy-backed entry advertises its tunable params
-        # with defaults; the budget default comes from the registry entry,
-        # and NSGA-II sizes an unset population from the budget.
-        assert "params: budget=200, population=None, offspring=None" in output
+        # with defaults; the budget default comes from the registry entry.
+        assert "params: budget=200, population=16, offspring=16" in output
         assert "params: budget=200, startup=16, batch=8" in output
         # The retired names say so, with the NSGA-II params they run with.
         lines = output.splitlines()
@@ -544,7 +541,7 @@ class TestListCommand:
             [at] = [i for i, line in enumerate(lines) if line.split()[:1] == [retired]]
             assert lines[at].endswith("retired; runs nsga2")
             assert lines[at + 1].strip() == (
-                "params: budget=200, population=None, offspring=None, mutation_rate=0.3"
+                "params: budget=200, population=16, offspring=16, mutation_rate=0.3"
             )
         # The exhaustive runner has no budget and must stay signature-free.
         exhaustive_block = output.split("exhaustive", 1)[1].split("hillclimb")[0]

@@ -327,7 +327,7 @@ class TestRegistryStrategiesBackendIdentity:
         "exhaustive": {},
         "random": {},
         "hillclimb": {},
-        "evolutionary": {},
+        "evolutionary": {"population": 4, "offspring": 4},
         "nsga2": {"population": 4, "offspring": 4},
         "tpe": {"startup": 4, "batch": 4, "candidates": 16},
         "surrogate": {},

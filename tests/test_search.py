@@ -108,28 +108,10 @@ class TestNSGA2Search:
     def test_invalid_population(self, engine):
         with pytest.raises(ValueError):
             NSGA2Search(engine, population=1, offspring=0)
-        with pytest.raises(ValueError):
-            NSGA2Search(engine, SearchBudget(evaluations=65), offspring=0)
         with pytest.raises(ValueError, match="mutation_rate"):
             NSGA2Search(engine, mutation_rate=5)
         with pytest.raises(ValueError, match="mutation_rate"):
             NSGA2Search(engine, mutation_rate=-0.1)
-
-    @pytest.mark.parametrize(
-        "evaluations, size", [(12, 8), (48, 8), (65, 10), (96, 16), (200, 16), (324, 16)]
-    )
-    def test_population_follows_the_budget(self, engine, evaluations, size):
-        """A sixth of the budget, kept within [8, 16]: a fixed 16 would spend
-        a quarter of a 65-evaluation budget on random seeds."""
-        search = NSGA2Search(engine, SearchBudget(evaluations=evaluations))
-        assert search.population_size == search.offspring_size == size
-
-    def test_explicit_sizes_win_over_the_budget_rule(self, engine):
-        budget = SearchBudget(evaluations=65)
-        search = NSGA2Search(engine, budget, population=16)
-        assert (search.population_size, search.offspring_size) == (16, 10)
-        search = NSGA2Search(engine, budget, population=6, offspring=30)
-        assert (search.population_size, search.offspring_size) == (6, 30)
 
     def test_selection_ranks_infeasible_records_last(self, engine):
         # An OOM replay stopped at its first failed allocation, so its
@@ -156,7 +138,7 @@ class TestNSGA2Search:
 
 class TestSearchInternals:
     def test_mutation_changes_exactly_one_or_zero_parameters(self, engine):
-        search = RandomSearch(engine, SearchBudget(evaluations=1, seed=7))
+        search = NSGA2Search(engine, SearchBudget(evaluations=1, seed=7))
         point = engine.space.point_at(0)
         mutated = search._mutate(point)
         differing = [name for name in point if point[name] != mutated[name]]
@@ -164,7 +146,7 @@ class TestSearchInternals:
         engine.space.validate_point(mutated)
 
     def test_crossover_produces_valid_point(self, engine):
-        search = RandomSearch(engine, SearchBudget(evaluations=1, seed=8))
+        search = NSGA2Search(engine, SearchBudget(evaluations=1, seed=8))
         first = engine.space.point_at(0)
         second = engine.space.point_at(engine.space.size() - 1)
         child = search._crossover(first, second)

@@ -27,7 +27,7 @@ STRATEGIES = ("random", "nsga2", "tpe")
 #: strategy -> sha256 of the label sequence
 PINS = {
     "random": "0220e3afb33f1f4e92b87fb8ff3143f4f32aad50a192967b9a302961883b6af2",
-    "nsga2": "aeaf929fba4e1ee9ede012eb0298dcacfe94774e885eb694eda57cfb2bcbad03",
+    "nsga2": "b2476e96cb88ca4b12cf8a028bd72692f32907ba8305b38964da0079998ad5e8",
     "tpe": "7ff0c10de311cae0d6baf8bd981d9af6f7b9ebc928da97802408ca89b49454ef",
 }
 

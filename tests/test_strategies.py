@@ -321,8 +321,7 @@ class TestArtefactCounters:
         [counters] = [
             line for line in sink.status_lines() if line.startswith("counters: ")
         ]
-        lookups = engine.cache_hits + engine.cache_misses
-        assert counters == f"counters: memo {engine.cache_hits}/{lookups}"
+        assert counters == f"counters: memo 0/{engine.cache_misses}"
         report = exploration_report(database)
         assert "prun" not in report.lower()
         assert "skips" not in report.lower()
